@@ -28,16 +28,14 @@ from . import intlin
 from .extalg import (HElement, LElement, aab_keys, abb_keys, abb_to_l_element,
                      alpha, beta, image1_coeffs, image2_coeffs,
                      triple_indices, wedge_with_omega)
-from .graph import (CycleBasisContext, MultiGraph, PreconditionError,
-                    TropicalCurve, blocks, build_cycle_context, contract_edge,
-                    genus, graph_from_json_dict, graph_to_json_dict,
-                    stabilize, subdivide_edge, two_edge_connectivize)
-from .minors import MinorWitness, has_minor, is_hyperelliptic_type
+from .graph import (CycleBasisContext, InvariantError, MultiGraph,
+                    PreconditionError, TropicalCurve, blocks,
+                    build_cycle_context, contract_edge, genus,
+                    graph_from_json_dict, graph_to_json_dict, stabilize,
+                    subdivide_edge, two_edge_connectivize)
+from .minors import (MinorWitness, has_k4_minor_fast, has_minor,
+                     is_hyperelliptic_type)
 from .polyring import IntPolynomial, Monomial, idkey, parse_polynomial
-
-
-class InvariantError(RuntimeError):
-    """A certificate failed to replay; indicates an internal bug."""
 
 
 @dataclass(frozen=True)
@@ -432,7 +430,8 @@ def is_cz_trivial_curve(curve: TropicalCurve, v: CeresaCocycle) -> TrivialityVer
         return TrivialityVerdict(
             False, "curve-lattice",
             certificate={"infeasible": True, "target": target,
-                         "lattice_hnf": image_lattice(curve, ctx)})
+                         "lattice_hnf": intlin.hnf_basis(
+                             gens.values(), width=len(target))})
     a = {u: c for u, c in zip(units, coeffs) if c}
     replay = [0] * len(target)
     for u, c in a.items():
@@ -512,8 +511,7 @@ def classify(G: MultiGraph) -> TrivialityVerdict:
         if genus(block) < 3:
             continue
         if not is_hyperelliptic_type(block):
-            found, wit = has_minor(block, "K4")
-            bad_pattern = "K4" if found else "L3"
+            bad_pattern = "K4" if has_k4_minor_fast(block) else "L3"
             break
     if bad_pattern is None:
         return TrivialityVerdict(True, "minor-theorem",

@@ -378,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     except GraphError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except InvariantError as exc:

@@ -36,6 +36,10 @@ class PreconditionError(GraphError):
     pass
 
 
+class InvariantError(RuntimeError):
+    """A certificate failed to replay; indicates an internal bug."""
+
+
 class Edge(NamedTuple):
     id: str
     tail: str
@@ -172,8 +176,63 @@ def is_bridge(g: MultiGraph, edge_id: str) -> bool:
     return e.head not in seen
 
 
+class _LowpointDFS(NamedTuple):
+    """Preorder `index` of each vertex; `low`, the least index that the
+    subtree below a vertex reaches by one back edge; `tree`, v -> (parent,
+    tree edge) in preorder; `back`, (deeper endpoint, edge) of the rest."""
+
+    index: dict[str, int]
+    low: dict[str, int]
+    tree: dict[str, tuple[str, Edge]]
+    back: list[tuple[str, Edge]]
+
+
+def _lowpoint_dfs(g: MultiGraph) -> _LowpointDFS:
+    """One depth-first search over the non-loop edges, from the least vertex.
+
+    Iterative, so deep graphs cannot blow the recursion limit.  Every
+    non-tree edge joins a vertex to one of its ancestors.
+    """
+    inc: dict[str, list[Edge]] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        if not e.is_loop():
+            inc[e.tail].append(e)
+            inc[e.head].append(e)
+    root = g.sorted_vertices()[0]
+    index = {root: 0}
+    low = {root: 0}
+    tree: dict[str, tuple[str, Edge]] = {}
+    back: list[tuple[str, Edge]] = []
+    used: set[str] = set()
+    work = [(root, iter(inc[root]))]
+    while work:
+        v, it = work[-1]
+        for e in it:
+            if e.id in used:
+                continue
+            used.add(e.id)
+            w = e.other(v)
+            if w not in index:
+                index[w] = low[w] = len(index)
+                tree[w] = (v, e)
+                work.append((w, iter(inc[w])))
+                break
+            back.append((v, e))
+            low[v] = min(low[v], index[w])
+        else:
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+    return _LowpointDFS(index, low, tree, back)
+
+
 def bridges(g: MultiGraph) -> list[str]:
-    return [e.id for e in g.edges if is_bridge(g, e.id)]
+    """Ids of the separating edges, in edge order: the tree edges u -> v
+    whose subtree below v reaches nothing above v."""
+    dfs = _lowpoint_dfs(g)
+    found = {e.id for v, (u, e) in dfs.tree.items() if dfs.low[v] > dfs.index[u]}
+    return [e.id for e in g.edges if e.id in found]
 
 
 def contract_edge(g: MultiGraph, edge_id: str) -> MultiGraph:
@@ -234,77 +293,37 @@ def blocks(g: MultiGraph) -> list[MultiGraph]:
 
     The genera of the blocks sum to the genus of the graph.
     """
-    loops = [e for e in g.edges if e.is_loop()]
-    rest = [e for e in g.edges if not e.is_loop()]
-    out = [MultiGraph({e.tail}, [e]) for e in loops]
-
-    inc: dict[str, list[Edge]] = {v: [] for v in g.vertices}
-    for e in rest:
-        inc[e.tail].append(e)
-        inc[e.head].append(e)
-
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    counter = [0]
-    stack: list[Edge] = []
-    used: set[str] = set()
-
-    def emit(upto: Edge) -> None:
-        comp = []
-        while True:
-            e = stack.pop()
-            comp.append(e)
-            if e.id == upto.id:
-                break
-        vs = {e.tail for e in comp} | {e.head for e in comp}
-        out.append(MultiGraph(vs, comp))
-
-    def dfs(root: str) -> None:
-        # iterative DFS so deep graphs cannot blow the recursion limit
-        work = [(root, None, iter(inc[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        while work:
-            v, parent_edge, it = work[-1]
-            advanced = False
-            for e in it:
-                if e.id in used:
-                    continue
-                w = e.other(v)
-                if w not in index:
-                    used.add(e.id)
-                    stack.append(e)
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    work.append((w, e, iter(inc[w])))
-                    advanced = True
-                    break
-                elif index[w] < index[v]:
-                    used.add(e.id)
-                    stack.append(e)
-                    low[v] = min(low[v], index[w])
-            if not advanced:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] >= index[u]:
-                        emit(parent_edge)
-
-    roots = [v for v in g.sorted_vertices() if inc[v]]
-    if roots:
-        dfs(roots[0])
+    out = [MultiGraph({e.tail}, [e]) for e in g.edges if e.is_loop()]
+    dfs = _lowpoint_dfs(g)
+    # a tree edge u -> v opens a new block unless the subtree below v reaches
+    # above u; a back edge belongs to the block of its deeper endpoint's
+    # tree edge.  Preorder labels every parent's tree edge first.
+    block_of: dict[str, int] = {}
+    comps: list[list[Edge]] = []
+    for v, (u, e) in dfs.tree.items():
+        if dfs.low[v] >= dfs.index[u]:
+            block_of[v] = len(comps)
+            comps.append([e])
+        else:
+            block_of[v] = block_of[u]
+            comps[block_of[u]].append(e)
+    for v, e in dfs.back:
+        comps[block_of[v]].append(e)
+    for comp in comps:
+        out.append(MultiGraph({e.tail for e in comp} | {e.head for e in comp}, comp))
     out.sort(key=lambda b: idkey(b.edges[0].id))
     return out
 
 
 def two_edge_connectivize(g: MultiGraph) -> MultiGraph:
-    """Contract every separating (bridge) edge; genus is unchanged."""
-    while True:
-        bs = bridges(g)
-        if not bs:
-            return g
-        g = contract_edge(g, bs[0])
+    """Contract every separating (bridge) edge; genus is unchanged.
+
+    Contracting a bridge leaves the other bridges bridges and makes no new
+    ones, so one bridge set serves the whole loop.
+    """
+    for edge_id in bridges(g):
+        g = contract_edge(g, edge_id)
+    return g
 
 
 def stabilize(g: MultiGraph) -> MultiGraph:
@@ -616,19 +635,19 @@ def graph_to_json_dict(g: MultiGraph, lengths: Mapping[str, int] | None = None) 
 def graph_from_json_dict(data: dict) -> tuple[MultiGraph, dict[str, int] | None]:
     try:
         vertices = [str(v) for v in data.get("vertices", [])]
-        raw_edges = data["edges"]
-    except (KeyError, TypeError) as exc:
+        edges = []
+        lengths: dict[str, int] = {}
+        for item in data["edges"]:
+            edge = Edge(str(item["id"]), str(item["tail"]), str(item["head"]))
+            edges.append(edge)
+            if "length" in item:
+                lengths[edge.id] = int(item["length"])
+    except KeyError as exc:
+        raise ParseError(f"bad graph JSON: missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ParseError(f"bad graph JSON: {exc}") from None
-    edges = []
-    lengths: dict[str, int] = {}
-    touched = False
-    for item in raw_edges:
-        edges.append(Edge(str(item["id"]), str(item["tail"]), str(item["head"])))
-        if "length" in item:
-            lengths[str(item["id"])] = int(item["length"])
-            touched = True
     graph = MultiGraph(vertices, edges)
-    if touched:
+    if lengths:
         missing = [e.id for e in graph.edges if e.id not in lengths]
         if missing:
             raise ParseError(f"lengths missing for edges {missing}")

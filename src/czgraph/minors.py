@@ -5,56 +5,71 @@ K4 is the complete graph on four vertices; L3 is the triangle with every
 edge doubled ("loop of 3 loops", genus 4).  A connected graph is of
 hyperelliptic type exactly when it has neither as a minor.
 
-Minor search is a memoized DFS over single edge deletions/contractions with
-genus and size pruning; negative results are cached by canonical form.  A
-series-parallel reduction decides the K4 case quickly and independently.
+The search rests on an exact decision oracle.  K4 is decided by a
+series-parallel reduction: a graph has no K4 minor exactly when it is
+series-parallel (Duffin 1965).  L3 is 2-connected with every valence 4, so
+splitting the graph into blocks and stabilizing each block does not change
+whether it is a minor.  The oracle searches the single-step minors of each
+stable block of genus >= 4, pruning by genus and size and memoizing
+answers by canonical form.
+
+A witness is found by a guided walk on the unreduced graph: each step scans
+the single-step minors in a fixed order and moves to the first one the
+oracle accepts.  Non-loop contractions and non-bridge deletions reach every
+connected minor, so the walk never stalls and returns the same operations
+as a depth-first search over that order would.
+
+Canonical forms use individualization-refinement (McKay-Piperno 2014).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
-from typing import Iterable, Iterator
+from itertools import combinations_with_replacement
+from typing import Iterator
 
-from .graph import (Edge, MultiGraph, PreconditionError, contract_edge,
-                    delete_edge, genus, is_bridge)
+from .graph import (Edge, GraphError, InvariantError, MultiGraph,
+                    PreconditionError, blocks, bridges, contract_edge,
+                    delete_edge, genus, stabilize)
 from .polyring import idkey
 
 PATTERNS = ("K4", "L3")
-
-_PATTERN_GENUS = {"K4": 3, "L3": 4}
-_PATTERN_MIN_VERTICES = {"K4": 4, "L3": 3}
 
 
 # -- canonical forms -------------------------------------------------------
 
 
-def _refine_colors(n: int, adj: list[dict[int, int]], loops: list[int]) -> list[int]:
-    """Iterative refinement of vertex colors by loop count, valence and
-    neighbor color multiset; stable coloring limits the permutations tried."""
-    colors = [0] * n
-    signature = [(loops[v], sum(adj[v].values())) for v in range(n)]
-    order = sorted(range(n), key=lambda v: signature[v])
-    rank = {sig: i for i, sig in enumerate(sorted(set(signature)))}
-    colors = [rank[signature[v]] for v in range(n)]
-    for _ in range(n):
-        sigs = []
-        for v in range(n):
-            neigh = sorted((colors[w], m) for w, m in adj[v].items())
-            sigs.append((colors[v], tuple(neigh)))
-        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        new = [rank[sigs[v]] for v in range(n)]
+def _ranks(keys: list) -> list[int]:
+    """Each key's position among the distinct keys, in sorted order."""
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return [rank[key] for key in keys]
+
+
+def _refine(adj: list[dict[int, int]], colors: list[int]) -> list[int]:
+    """Refine a vertex coloring until it is equitable.
+
+    Colors are ranks.  A vertex's new color is the rank of its color
+    together with the multiset of (neighbor color, multiplicity); cells only
+    split and keep their order, and nothing depends on vertex labels.
+    """
+    while True:
+        new = _ranks([(colors[v], tuple(sorted((colors[w], m) for w, m in nbrs.items())))
+                      for v, nbrs in enumerate(adj)])
         if new == colors:
-            break
+            return colors
         colors = new
-    return colors
 
 
 def canonical_form(g: MultiGraph) -> tuple:
     """Hashable certificate, equal for two graphs iff they are isomorphic.
 
-    Minimizes the sorted (loop-count, edge-multiset) encoding over all
-    vertex relabelings consistent with a refined coloring.
+    Individualization-refinement: refine the coloring by loop count and
+    valence; at each node individualize, in turn, every vertex of the first
+    smallest non-singleton cell and refine again.  The form is the least
+    sorted (loop-count, edge-multiset) encoding over the discrete leaves.
+    The search tree depends only on the graph's structure, so isomorphic
+    graphs reach the same set of encodings.
     """
     verts = g.sorted_vertices()
     n = len(verts)
@@ -69,39 +84,24 @@ def canonical_form(g: MultiGraph) -> tuple:
             adj[a][b] = adj[a].get(b, 0) + 1
             adj[b][a] = adj[b].get(a, 0) + 1
 
-    colors = _refine_colors(n, adj, loops)
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(colors[v], []).append(v)
-    class_list = [classes[c] for c in sorted(classes)]
-
     best: tuple | None = None
-    for parts in _class_permutations(class_list):
-        pos = [0] * n
-        for i, v in enumerate(parts):
-            pos[v] = i
-        enc_loops = tuple(sorted((pos[v], loops[v]) for v in range(n) if loops[v]))
-        enc_edges = []
-        for a in range(n):
-            for b, m in adj[a].items():
-                if a < b:
-                    x, y = sorted((pos[a], pos[b]))
-                    enc_edges.append((x, y, m))
-        enc = (n, enc_loops, tuple(sorted(enc_edges)))
+    todo = [_refine(adj, _ranks([(loops[v], sum(adj[v].values())) for v in range(n)]))]
+    while todo:
+        colors = todo.pop()
+        cells = [(size, c) for c, size in Counter(colors).items() if size > 1]
+        if cells:
+            # individualize: split v off the front of the target cell
+            target = min(cells)[1]
+            todo.extend(_refine(adj, _ranks([(c, w != v) for w, c in enumerate(colors)]))
+                        for v in range(n) if colors[v] == target)
+            continue
+        enc_loops = tuple(sorted((colors[v], loops[v]) for v in range(n) if loops[v]))
+        enc_edges = tuple(sorted((*sorted((colors[a], colors[b])), m)
+                                 for a in range(n) for b, m in adj[a].items() if a < b))
+        enc = (n, enc_loops, enc_edges)
         if best is None or enc < best:
             best = enc
-    return best if best is not None else (n, (), ())
-
-
-def _class_permutations(class_list: list[list[int]]) -> Iterator[list[int]]:
-    """All vertex orders that permute only within refinement classes."""
-    if not class_list:
-        yield []
-        return
-    head, rest = class_list[0], class_list[1:]
-    for perm in permutations(head):
-        for tail in _class_permutations(rest):
-            yield list(perm) + tail
+    return best
 
 
 def are_isomorphic(g1: MultiGraph, g2: MultiGraph) -> bool:
@@ -200,7 +200,7 @@ class MinorWitness:
     def verify(self, g: MultiGraph) -> bool:
         try:
             result = self.replay(g)
-        except (PreconditionError, Exception):
+        except GraphError:
             return False
         return _IS_PATTERN[self.pattern](result)
 
@@ -211,60 +211,75 @@ class MinorWitness:
                 "delete": list(self.deletion_set)}
 
 
-_negative_cache: dict[tuple[str, tuple], bool] = {}
+_negative_cache: dict[tuple, bool] = {}
+_positive_cache: set[tuple] = set()
 
 
 def clear_minor_cache() -> None:
     _negative_cache.clear()
+    _positive_cache.clear()
 
 
-def _minor_dfs(g: MultiGraph, pattern: str) -> tuple[tuple[str, str], ...] | None:
-    if genus(g) < _PATTERN_GENUS[pattern]:
-        return None
-    if len(g.vertices) < _PATTERN_MIN_VERTICES[pattern] or len(g.edges) < 6:
-        return None
-    if _IS_PATTERN[pattern](g):
-        return ()
-    key = (pattern, canonical_form(g))
+def _contains(g: MultiGraph, pattern: str) -> bool:
+    """Exact decision: is `pattern` a minor of g?"""
+    if pattern == "K4":
+        return genus(g) >= 3 and has_k4_minor_fast(g)
+    return genus(g) >= 4 and any(_stable_block_contains_l3(stabilize(b))
+                                 for b in blocks(g) if genus(b) >= 4)
+
+
+def _stable_block_contains_l3(b: MultiGraph) -> bool:
+    """L3 test on a stable, loopless, 2-connected graph of genus >= 4.
+
+    L3 is 2-connected with every valence 4, so it is a minor of a graph
+    exactly when it is a minor of one of its blocks, and smoothing a
+    2-valent vertex does not change the answer.  Loops are blocks of their
+    own, so the blocks carry none.
+    """
+    if len(b.vertices) < 3:
+        return False
+    if is_l3(b):
+        return True
+    key = canonical_form(b)
     if key in _negative_cache:
-        return None
-    if pattern == "K4" and not has_k4_minor_fast(g):
-        _negative_cache[key] = True
-        return None
-    for e in g.edges:
-        if not e.is_loop():
-            sub = _minor_dfs(contract_edge(g, e.id), pattern)
-            if sub is not None:
-                return (("contract", e.id),) + sub
-        if not is_bridge(g, e.id):
-            sub = _minor_dfs(delete_edge(g, e.id), pattern)
-            if sub is not None:
-                return (("delete", e.id),) + sub
+        return False
+    if key in _positive_cache:
+        return True
+    if any(_contains(child, "L3") for _, _, child in single_step_minors(b)):
+        _positive_cache.add(key)
+        return True
     _negative_cache[key] = True
-    return None
+    return False
 
 
 def has_minor(g: MultiGraph, pattern: str) -> tuple[bool, MinorWitness | None]:
     """Decide whether `pattern` (K4 or L3) is a minor of g.
 
-    On success the witness replays on g to an exact copy of the pattern;
+    The oracle decides; the witness is a walk that at each step takes the
+    first single-step minor (in `single_step_minors` order) that still
+    contains the pattern.  It replays on g to an exact copy of the pattern;
     contraction never touches loops and deletion never uses bridges, so
     every intermediate graph stays connected.
     """
     if pattern not in PATTERNS:
         raise PreconditionError(f"unknown pattern {pattern!r}; choose from {PATTERNS}")
-    ops = _minor_dfs(g, pattern)
-    if ops is None:
+    if not _contains(g, pattern):
         return False, None
-    return True, MinorWitness(pattern, ops)
+    ops = []
+    while not _IS_PATTERN[pattern](g):
+        step = next(((op, eid, child) for op, eid, child in single_step_minors(g)
+                     if _contains(child, pattern)), None)
+        if step is None:
+            raise InvariantError(
+                f"{pattern} minor decided but no single-step minor of {g!r} keeps it")
+        op, eid, g = step
+        ops.append((op, eid))
+    return True, MinorWitness(pattern, tuple(ops))
 
 
 def is_hyperelliptic_type(g: MultiGraph) -> bool:
-    """No K4 and no L3 minor."""
-    if has_k4_minor_fast(g):
-        return False
-    found, _ = has_minor(g, "L3")
-    return not found
+    """No K4 and no L3 minor; asks the oracle and builds no witness."""
+    return not (_contains(g, "K4") or _contains(g, "L3"))
 
 
 # -- enumeration of stable multigraphs --------------------------------------
@@ -340,9 +355,11 @@ def enumerate_graphs(max_edges: int,
 
 
 def single_step_minors(g: MultiGraph) -> Iterator[tuple[str, str, MultiGraph]]:
-    """All connected one-operation minors: (op, edge_id, result)."""
+    """All connected one-operation minors: (op, edge_id, result), edge by
+    edge in edge order, each edge's contraction before its deletion."""
+    separating = set(bridges(g))
     for e in g.edges:
         if not e.is_loop():
             yield "contract", e.id, contract_edge(g, e.id)
-        if not is_bridge(g, e.id):
+        if e.id not in separating:
             yield "delete", e.id, delete_edge(g, e.id)

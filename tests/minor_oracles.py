@@ -1,0 +1,174 @@
+"""Reference implementations that the minor search is checked against.
+
+These are the straightforward versions of three `czgraph` functions, kept
+because they are easy to trust, not because they are fast:
+
+* `canonical_form`: minimizes the encoding over every vertex order that
+  permutes only within the classes of a refined coloring;
+* `minor_dfs`: depth-first search over the raw single-step minors, each
+  edge's contraction before its deletion, with negative results cached by
+  canonical form;
+* `blocks`: biconnected components emitted from the edge stack of a
+  lowpoint DFS.
+"""
+
+from __future__ import annotations
+
+from itertools import permutations
+from typing import Iterator
+
+from czgraph.graph import (Edge, MultiGraph, contract_edge, delete_edge, genus,
+                           is_bridge)
+from czgraph.minors import has_k4_minor_fast, is_k4, is_l3
+from czgraph.polyring import idkey
+
+_IS_PATTERN = {"K4": is_k4, "L3": is_l3}
+_PATTERN_GENUS = {"K4": 3, "L3": 4}
+_PATTERN_MIN_VERTICES = {"K4": 4, "L3": 3}
+
+
+def _refine_colors(n: int, adj: list[dict[int, int]], loops: list[int]) -> list[int]:
+    signature = [(loops[v], sum(adj[v].values())) for v in range(n)]
+    rank = {sig: i for i, sig in enumerate(sorted(set(signature)))}
+    colors = [rank[signature[v]] for v in range(n)]
+    for _ in range(n):
+        sigs = []
+        for v in range(n):
+            neigh = sorted((colors[w], m) for w, m in adj[v].items())
+            sigs.append((colors[v], tuple(neigh)))
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new = [rank[sigs[v]] for v in range(n)]
+        if new == colors:
+            break
+        colors = new
+    return colors
+
+
+def _class_permutations(class_list: list[list[int]]) -> Iterator[list[int]]:
+    if not class_list:
+        yield []
+        return
+    head, rest = class_list[0], class_list[1:]
+    for perm in permutations(head):
+        for tail in _class_permutations(rest):
+            yield list(perm) + tail
+
+
+def canonical_form(g: MultiGraph) -> tuple:
+    """Least sorted (loop-count, edge-multiset) encoding over every vertex
+    order that permutes only within refinement classes."""
+    verts = g.sorted_vertices()
+    n = len(verts)
+    vidx = {v: i for i, v in enumerate(verts)}
+    adj: list[dict[int, int]] = [dict() for _ in range(n)]
+    loops = [0] * n
+    for e in g.edges:
+        a, b = vidx[e.tail], vidx[e.head]
+        if a == b:
+            loops[a] += 1
+        else:
+            adj[a][b] = adj[a].get(b, 0) + 1
+            adj[b][a] = adj[b].get(a, 0) + 1
+    colors = _refine_colors(n, adj, loops)
+    classes: dict[int, list[int]] = {}
+    for v in range(n):
+        classes.setdefault(colors[v], []).append(v)
+    best = None
+    for parts in _class_permutations([classes[c] for c in sorted(classes)]):
+        pos = [0] * n
+        for i, v in enumerate(parts):
+            pos[v] = i
+        enc_loops = tuple(sorted((pos[v], loops[v]) for v in range(n) if loops[v]))
+        enc_edges = []
+        for a in range(n):
+            for b, m in adj[a].items():
+                if a < b:
+                    x, y = sorted((pos[a], pos[b]))
+                    enc_edges.append((x, y, m))
+        enc = (n, enc_loops, tuple(sorted(enc_edges)))
+        if best is None or enc < best:
+            best = enc
+    return best
+
+
+_negative: set[tuple[str, tuple]] = set()
+
+
+def minor_dfs(g: MultiGraph, pattern: str) -> tuple[tuple[str, str], ...] | None:
+    """Operations of the first witness in depth-first order, or None."""
+    if genus(g) < _PATTERN_GENUS[pattern]:
+        return None
+    if len(g.vertices) < _PATTERN_MIN_VERTICES[pattern] or len(g.edges) < 6:
+        return None
+    if _IS_PATTERN[pattern](g):
+        return ()
+    key = (pattern, canonical_form(g))
+    if key in _negative:
+        return None
+    if pattern == "K4" and not has_k4_minor_fast(g):
+        _negative.add(key)
+        return None
+    for e in g.edges:
+        if not e.is_loop():
+            sub = minor_dfs(contract_edge(g, e.id), pattern)
+            if sub is not None:
+                return (("contract", e.id),) + sub
+        if not is_bridge(g, e.id):
+            sub = minor_dfs(delete_edge(g, e.id), pattern)
+            if sub is not None:
+                return (("delete", e.id),) + sub
+    _negative.add(key)
+    return None
+
+
+def blocks(g: MultiGraph) -> list[MultiGraph]:
+    """Biconnected components; each loop is its own block."""
+    out = [MultiGraph({e.tail}, [e]) for e in g.edges if e.is_loop()]
+    inc: dict[str, list[Edge]] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        if not e.is_loop():
+            inc[e.tail].append(e)
+            inc[e.head].append(e)
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[Edge] = []
+    used: set[str] = set()
+    roots = [v for v in g.sorted_vertices() if inc[v]]
+    if roots:
+        root = roots[0]
+        index[root] = low[root] = 0
+        work = [(root, None, iter(inc[root]))]
+        while work:
+            v, parent_edge, it = work[-1]
+            advanced = False
+            for e in it:
+                if e.id in used:
+                    continue
+                w = e.other(v)
+                if w not in index:
+                    used.add(e.id)
+                    stack.append(e)
+                    index[w] = low[w] = len(index)
+                    work.append((w, e, iter(inc[w])))
+                    advanced = True
+                    break
+                elif index[w] < index[v]:
+                    used.add(e.id)
+                    stack.append(e)
+                    low[v] = min(low[v], index[w])
+            if not advanced:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= index[u]:
+                        comp = []
+                        while True:
+                            e = stack.pop()
+                            comp.append(e)
+                            if e.id == parent_edge.id:
+                                break
+                        vs = {e.tail for e in comp} | {e.head for e in comp}
+                        out.append(MultiGraph(vs, comp))
+    out.sort(key=lambda b: idkey(b.edges[0].id))
+    return out

@@ -155,6 +155,13 @@ def stable_graphs_8():
     return list(enumerate_graphs(8))
 
 
+def test_enumeration_class_counts(stable_graphs_8):
+    # isomorphism classes of connected stable graphs with at most 6 / 7 / 8
+    # edges; a canonical form that merged or split classes would move these
+    counts = [sum(len(g.edges) <= m for g in stable_graphs_8) for m in (6, 7, 8)]
+    assert counts == [58, 157, 458]
+
+
 def test_criterion_6_classifier_and_minors(stable_graphs_8):
     checks = []
     witness_failures = []

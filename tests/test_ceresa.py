@@ -116,6 +116,24 @@ def test_image_lattice_l3():
         [2, 2, 0, 2], [0, 4, 0, 0], [0, 0, 2, 2], [0, 0, 0, 4]]
 
 
+def test_curve_verdict_builds_each_generator_once(monkeypatch):
+    import czgraph.ceresa as ceresa
+    real = ceresa.image2_coeffs
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ceresa, "image2_coeffs", counted)
+    curve = ones_curve(l3_graph())
+    verdict = is_cz_trivial_curve(curve, V_TAU_L3)
+    assert not verdict.trivial
+    assert len(calls) == 24  # one per unit a_i^a_j^b_k at genus 4
+    monkeypatch.undo()
+    assert verdict.certificate["lattice_hnf"] == image_lattice(curve, l3_context())
+
+
 def test_image_lattice_generators_are_even():
     rng = random.Random(103)
     for _ in range(15):

@@ -5,7 +5,7 @@ import pytest
 from czgraph.ceresa import V_TAU_K4, k4_graph, l3_graph
 from czgraph.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_PARSE,
                          EXIT_PRECONDITION, main, run_command, verify_theorem)
-from czgraph.graph import render_graph_text
+from czgraph.graph import render_graph_text, subdivide_edge
 
 K4_TEXT = render_graph_text(k4_graph())
 L3_TEXT = render_graph_text(l3_graph())
@@ -182,3 +182,34 @@ def test_verify_theorem_rejects_large_budget():
     from czgraph.graph import PreconditionError
     with pytest.raises(PreconditionError):
         verify_theorem(12)
+
+
+@pytest.mark.parametrize("edges", [
+    [{"id": "1", "tail": "1"}],                        # no head
+    [{"id": "1", "tail": "1", "head": "1", "length": "abc"}],
+    5,
+])
+def test_exit_code_bad_graph_json(tmp_path, capsys, edges):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": ["1"], "edges": edges}))
+    assert main(["classify", str(path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: bad graph JSON") and err.count("\n") == 1
+
+
+def test_exit_code_cocycle_is_a_directory(tmp_path, capsys, k4_file):
+    assert main(["cz-test", k4_file, "--cocycle", str(tmp_path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1
+
+
+def test_exit_code_walk_without_accepted_step(tmp_path, capsys, monkeypatch):
+    # an oracle that accepts the input but none of its single-step minors
+    import czgraph.minors as minors
+    graph = subdivide_edge(k4_graph(), "1")
+    path = tmp_path / "k4sub.txt"
+    path.write_text(render_graph_text(graph))
+    monkeypatch.setattr(minors, "_contains", lambda g, pattern: g == graph)
+    assert main(["minor", str(path), "--pattern", "K4"]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.startswith("internal invariant failure:") and err.count("\n") == 1

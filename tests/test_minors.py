@@ -3,12 +3,16 @@ import random
 
 import pytest
 
-from czgraph.graph import MultiGraph, PreconditionError, delete_edge, genus
-from czgraph.minors import (canonical_form, clear_minor_cache,
+from czgraph.ceresa import k4_graph
+from czgraph.graph import (GraphError, MultiGraph, PreconditionError, blocks,
+                           bridges, delete_edge, genus, is_bridge,
+                           subdivide_edge)
+from czgraph.minors import (MinorWitness, canonical_form, clear_minor_cache,
                             enumerate_graphs, has_k4_minor_fast, has_minor,
                             is_hyperelliptic_type, is_k4, is_l3,
                             single_step_minors)
 
+import minor_oracles as oracles
 from conftest import random_multigraph
 
 
@@ -42,6 +46,12 @@ def test_wheel_has_k4_minor():
     assert found
     assert wit.verify(wheel5())
     assert set(wit.contraction_set) | set(wit.deletion_set) == {eid for _, eid in wit.ops}
+
+
+def test_witness_naming_a_missing_edge_does_not_verify(k4):
+    assert not MinorWitness("K4", (("delete", "99"),)).verify(k4)
+    assert not MinorWitness("K4", (("contract", "1"),)).verify(
+        MultiGraph(["1"], [("1", "1", "1")]))
 
 
 def test_unknown_pattern_rejected(k4):
@@ -147,3 +157,128 @@ def test_genus_prunes_minor_search(theta):
     clear_minor_cache()
     found, wit = has_minor(theta, "K4")
     assert not found and wit is None
+
+
+# -- equivalence with the reference implementations in minor_oracles --------
+
+
+def relabeled(g, rng):
+    """Isomorphic copy with shuffled vertex names, edge ids and orientations."""
+    verts = g.sorted_vertices()
+    names = [f"v{i}" for i in range(len(verts))]
+    rng.shuffle(names)
+    rename = dict(zip(verts, names))
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    return MultiGraph(names, [(str(i), *((rename[e.head], rename[e.tail])
+                                         if rng.random() < 0.5 else
+                                         (rename[e.tail], rename[e.head])))
+                              for i, e in enumerate(edges, start=1)])
+
+
+def from_pairs(pairs):
+    """Graph whose edges 1, 2, ... join the given vertex pairs."""
+    return MultiGraph([], [(str(i), str(a), str(b))
+                           for i, (a, b) in enumerate(pairs, start=1)])
+
+
+def ladder(rungs):
+    rails = [(f"{s}{i}", f"{s}{i + 1}") for s in "uw" for i in range(rungs - 1)]
+    return from_pairs([(f"u{i}", f"w{i}") for i in range(rungs)] + rails)
+
+
+def prism(n):
+    """The circular ladder C_n x K_2: cubic on 2n vertices."""
+    rims = [(f"{s}{i}", f"{s}{(i + 1) % n}") for s in "uw" for i in range(n)]
+    return from_pairs([(f"u{i}", f"w{i}") for i in range(n)] + rims)
+
+
+def mobius_ladder(n):
+    """Cycle on 2n vertices plus its n long diagonals: cubic."""
+    return from_pairs([(i, (i + 1) % (2 * n)) for i in range(2 * n)]
+                      + [(i, i + n) for i in range(n)])
+
+
+def k33():
+    return from_pairs([(f"a{i}", f"b{j}") for i in range(3) for j in range(3)])
+
+
+def random_regular(rng, n, degree):
+    """Connected simple degree-regular graph (configuration model).
+
+    Refinement cannot split a regular simple graph's vertices, so only the
+    individualization search tells them apart."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(degree)]
+        rng.shuffle(stubs)
+        pairs = list(zip(stubs[::2], stubs[1::2]))
+        simple = len({frozenset(p) for p in pairs}) == len(pairs)
+        if simple and all(a != b for a, b in pairs):
+            try:
+                return from_pairs(pairs)
+            except GraphError:  # disconnected: draw again
+                pass
+
+
+def subdivided_k4(rng):
+    g = k4_graph()
+    for f in rng.sample([e.id for e in g.edges], rng.randint(1, 4)):
+        g = subdivide_edge(g, f)
+    return g
+
+
+def oracle_graphs():
+    """200 random multigraphs of genus 3-6, then structured ones; those on
+    fewer than 8 vertices also relabeled (the reference canonical form
+    tries 8! orders on a vertex-transitive graph with 8 vertices)."""
+    rng = random.Random(20261018)
+    graphs = [random_multigraph(rng, rng.randint(3, 6), max_vertices=rng.randint(2, 7))
+              for _ in range(200)]
+    graphs += [ladder(4), ladder(5), prism(3), prism(4), mobius_ladder(3),
+               mobius_ladder(4), k33()]
+    graphs += [subdivided_k4(rng) for _ in range(6)]
+    return graphs + [relabeled(g, rng) for g in graphs[200:] if len(g.vertices) < 8]
+
+
+def test_has_minor_ops_match_dfs_oracle():
+    clear_minor_cache()
+    mismatches = []
+    for g in oracle_graphs():
+        for pattern in ("K4", "L3"):
+            found, wit = has_minor(g, pattern)
+            want = oracles.minor_dfs(g, pattern)
+            got = wit.ops if found else None
+            if got != want:
+                mismatches.append((repr(g), pattern, got, want))
+            elif found:
+                assert wit.verify(g)
+    assert not mismatches, mismatches[:3]
+
+
+def test_canonical_form_equality_matches_oracle():
+    rng = random.Random(77)
+    graphs = [random_multigraph(rng, rng.randint(2, 5), max_vertices=rng.randint(3, 6))
+              for _ in range(120)]
+    graphs += [prism(3), mobius_ladder(3), k33(), ladder(4)]
+    graphs += [random_regular(rng, 7, 4) for _ in range(6)]
+    graphs += [relabeled(g, rng) for g in graphs[::4] + graphs[-6:]]
+    larger = [random_regular(rng, n, 3) for n in (8, 10) for _ in range(6)]
+    for g in graphs + larger + [prism(4), mobius_ladder(4), prism(5)]:
+        assert canonical_form(relabeled(g, rng)) == canonical_form(g)
+    # every pair, isomorphic or not: the two forms agree on equality
+    new = [canonical_form(g) for g in graphs]
+    old = [oracles.canonical_form(g) for g in graphs]
+    for i, j in itertools.combinations(range(len(graphs)), 2):
+        assert (new[i] == new[j]) == (old[i] == old[j]), (graphs[i], graphs[j])
+    # 58 classes at six edges stay 58 distinct forms under both
+    stable = list(enumerate_graphs(6))
+    assert len({canonical_form(g) for g in stable}) == len(stable) == 58
+    assert len({oracles.canonical_form(g) for g in stable}) == 58
+
+
+def test_bridges_and_blocks_match_reference():
+    rng = random.Random(55)
+    for _ in range(300):
+        g = random_multigraph(rng, rng.randint(0, 5), max_vertices=8)
+        assert bridges(g) == [e.id for e in g.edges if is_bridge(g, e.id)]
+        assert blocks(g) == oracles.blocks(g)
