@@ -21,21 +21,20 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from . import intlin
-from .extalg import (HElement, LElement, aab_keys, abb_keys, abb_to_l_element,
-                     alpha, beta, image1_coeffs, image2_coeffs,
-                     triple_indices, wedge_with_omega)
+from .extalg import (HElement, LElement, aab_keys, abb_keys, alpha, beta,
+                     image1_coeffs, image2_coeffs, triple_indices,
+                     wedge_with_omega)
 from .graph import (CycleBasisContext, InvariantError, MultiGraph,
-                    PreconditionError, TropicalCurve, blocks,
+                    ParseError, PreconditionError, TropicalCurve, blocks,
                     build_cycle_context, contract_edge, genus,
-                    graph_from_json_dict, graph_to_json_dict, stabilize,
-                    subdivide_edge, two_edge_connectivize)
+                    graph_from_json_dict, graph_to_json_dict, subdivide_edge)
 from .minors import (MinorWitness, has_k4_minor_fast, has_minor,
                      is_hyperelliptic_type)
-from .polyring import IntPolynomial, Monomial, idkey, parse_polynomial
+from .polyring import IntPolynomial, Monomial, parse_polynomial
 
 
 @dataclass(frozen=True)
@@ -75,9 +74,6 @@ class CeresaCocycle:
     def graph(self) -> MultiGraph:
         return self.context.graph
 
-    def as_l_element(self) -> LElement:
-        return abb_to_l_element(self.context.g, self.b)
-
     def is_zero(self) -> bool:
         return not self.b
 
@@ -91,11 +87,19 @@ class CeresaCocycle:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CeresaCocycle":
-        graph, _ = graph_from_json_dict(data["graph"])
-        ctx = build_cycle_context(graph, tree_hint=data.get("tree"))
-        b = {(int(item["i"]), int(item["j"]), int(item["k"])):
-             parse_polynomial(item["poly"]) for item in data["b"]}
-        return cls(ctx, b)
+        """Raises ParseError for malformed data, before any graph check."""
+        try:
+            graph_data, tree = data["graph"], data.get("tree")
+            if tree is not None and not isinstance(tree, list):
+                raise TypeError("tree must be a list of edge ids")
+            b = {(int(item["i"]), int(item["j"]), int(item["k"])):
+                 parse_polynomial(item["poly"]) for item in data["b"]}
+        except KeyError as exc:
+            raise ParseError(f"bad cocycle JSON: missing key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad cocycle JSON: {exc}") from None
+        graph, _ = graph_from_json_dict(graph_data)
+        return cls(build_cycle_context(graph, tree_hint=tree), b)
 
 
 @dataclass(frozen=True)
@@ -125,13 +129,6 @@ class CZClass:
 
     def is_zero(self) -> bool:
         return not self.c
-
-    def as_l_element(self) -> LElement:
-        out = LElement.zero(self.context.g)
-        for (r, s, t), poly in self.c.items():
-            out = out + LElement.wedge_basis(
-                self.context.g, (beta(r), beta(s), beta(t)), poly)
-        return out
 
     def to_json_dict(self) -> dict:
         return {"c": [{"r": r, "s": s, "t": t, "poly": str(p)}
@@ -499,17 +496,14 @@ def pushforward_subdivide(v: CeresaCocycle, edge_id: str) -> CeresaCocycle:
 def classify(G: MultiGraph) -> TrivialityVerdict:
     """Decide triviality of the graph itself by the forbidden-minor route.
 
-    Reduces first (stabilization, contraction of separating edges, block
-    decomposition), tests each block for K4 and L3 minors, and when a block
-    fails extracts a witness on the original graph so it replays there.
+    Tests each block of G for K4 and L3 minors; the minor oracle does its
+    own reduction.  When a block fails, it extracts a witness on G itself,
+    so that the witness replays there.
     """
     if genus(G) < 2:
         raise PreconditionError(f"classify needs genus >= 2, got {genus(G)}")
-    reduced = two_edge_connectivize(stabilize(G))
     bad_pattern = None
-    for block in blocks(reduced):
-        if genus(block) < 3:
-            continue
+    for block in blocks(G):
         if not is_hyperelliptic_type(block):
             bad_pattern = "K4" if has_k4_minor_fast(block) else "L3"
             break

@@ -9,15 +9,16 @@ output.  Exit codes: 0 ok, 2 parse/usage error, 3 precondition violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .ceresa import (BUILTIN_COCYCLES, CeresaCocycle, InvariantError,
-                     TrivialityVerdict, classify, compute_w, image_lattice,
-                     is_cz_trivial_curve, is_cz_trivial_graph, k4_context,
-                     l3_context, pushforward_subdivide, specialize)
+                     classify, compute_w, image_lattice, is_cz_trivial_curve,
+                     is_cz_trivial_graph, k4_context, l3_context,
+                     pushforward_subdivide, specialize)
 from .extalg import triple_indices
 from .graph import (GraphError, MultiGraph, ParseError, PreconditionError,
                     TropicalCurve, blocks, build_cycle_context, genus,
@@ -25,7 +26,6 @@ from .graph import (GraphError, MultiGraph, ParseError, PreconditionError,
 from .intlin import DimensionError
 from .minors import (canonical_form, enumerate_graphs, has_minor,
                      is_hyperelliptic_type, single_step_minors)
-from .polyring import idkey
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -300,7 +300,10 @@ def _fixture_identities() -> bool:
 # -- argument parsing and dispatch -------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged, so `run_command` and `main` share it."""
     parser = argparse.ArgumentParser(
         prog="czgraph",
         description="Exact Ceresa-Zharkov triviality toolkit for graphs "

@@ -18,7 +18,6 @@ map sending a_j to a_j + sum_i q_ij b_i and fixing every b_j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 

@@ -7,6 +7,11 @@ a spanning tree; the fundamental cycles of the g non-tree edges give a basis
 of the cycle space and the symmetric g x g matrix Q whose entry q_ij is the
 signed sum of x_e over edges traversed by both cycles.
 
+The layer has one traversal, a breadth-first search that returns a rooted
+tree (`_bfs_tree`).  It checks connectivity and tests bridges, and it
+builds the single spanning tree, rooted at the least vertex id, from which
+every fundamental cycle is read by walking parent edges.
+
 All structures are immutable values.
 """
 
@@ -87,27 +92,9 @@ class MultiGraph:
         self.vertices = frozenset(vs)
         self.edges = tuple(es)
         self._by_id = {e.id: e for e in es}
-        inc: dict[str, list[Edge]] = {v: [] for v in vs}
-        for e in es:
-            inc[e.tail].append(e)
-            if not e.is_loop():
-                inc[e.head].append(e)
-        self._incidence = inc
-        if not self._connected():
+        self._incidence = _incidence(vs, es)
+        if len(_bfs_tree(self._incidence, next(iter(vs)))) != len(vs) - 1:
             raise GraphError("graph is not connected")
-
-    def _connected(self) -> bool:
-        start = next(iter(self.vertices))
-        seen = {start}
-        todo = deque([start])
-        while todo:
-            u = todo.popleft()
-            for e in self._incidence[u]:
-                w = e.other(u)
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return seen == self.vertices
 
     # -- basic queries ---------------------------------------------------
 
@@ -150,6 +137,33 @@ class MultiGraph:
         return f"MultiGraph(|V|={len(self.vertices)}, edges={[e.id for e in self.edges]})"
 
 
+def _incidence(vertices: Iterable[str], edges: Iterable[Edge]) -> dict[str, list[Edge]]:
+    """The edges at each vertex, in edge order; a loop is listed once."""
+    inc: dict[str, list[Edge]] = {v: [] for v in vertices}
+    for e in edges:
+        inc[e.tail].append(e)
+        if not e.is_loop():
+            inc[e.head].append(e)
+    return inc
+
+
+def _bfs_tree(inc: Mapping[str, list[Edge]], root: str) -> dict[str, Edge]:
+    """Breadth-first search from root over an incidence map: each vertex
+    reached, other than root, -> the edge it was reached by, in discovery
+    order.  The edges form a spanning tree of root's component, and
+    `edge.other(v)` is v's parent."""
+    tree: dict[str, Edge] = {}
+    todo = deque([root])
+    while todo:
+        u = todo.popleft()
+        for e in inc[u]:
+            w = e.other(u)
+            if w != root and w not in tree:
+                tree[w] = e
+                todo.append(w)
+    return tree
+
+
 def genus(g: MultiGraph) -> int:
     """First Betti number |E| - |V| + 1 of a connected graph."""
     return len(g.edges) - len(g.vertices) + 1
@@ -159,21 +173,8 @@ def is_bridge(g: MultiGraph, edge_id: str) -> bool:
     e = g.edge(edge_id)
     if e.is_loop():
         return False
-    remaining = [x for x in g.edges if x.id != e.id]
-    seen = {e.tail}
-    todo = deque([e.tail])
-    inc: dict[str, list[Edge]] = {}
-    for x in remaining:
-        inc.setdefault(x.tail, []).append(x)
-        inc.setdefault(x.head, []).append(x)
-    while todo:
-        u = todo.popleft()
-        for x in inc.get(u, []):
-            w = x.other(u)
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return e.head not in seen
+    inc = _incidence(g.vertices, [x for x in g.edges if x.id != e.id])
+    return e.head not in _bfs_tree(inc, e.tail)
 
 
 class _LowpointDFS(NamedTuple):
@@ -193,11 +194,7 @@ def _lowpoint_dfs(g: MultiGraph) -> _LowpointDFS:
     Iterative, so deep graphs cannot blow the recursion limit.  Every
     non-tree edge joins a vertex to one of its ancestors.
     """
-    inc: dict[str, list[Edge]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        if not e.is_loop():
-            inc[e.tail].append(e)
-            inc[e.head].append(e)
+    inc = _incidence(g.vertices, [e for e in g.edges if not e.is_loop()])
     root = g.sorted_vertices()[0]
     index = {root: 0}
     low = {root: 0}
@@ -260,12 +257,7 @@ def delete_edge(g: MultiGraph, edge_id: str) -> MultiGraph:
     e = g.edge(edge_id)
     if is_bridge(g, edge_id):
         raise PreconditionError(f"deleting bridge {edge_id!r} would disconnect the graph")
-    survivors = [x for x in g.edges if x.id != e.id]
-    touched = {x.tail for x in survivors} | {x.head for x in survivors}
-    if len(g.vertices) > 1 and touched != g.vertices:
-        raise PreconditionError(
-            f"deleting edge {edge_id!r} would isolate a vertex")
-    return MultiGraph(g.vertices, survivors)
+    return MultiGraph(g.vertices, [x for x in g.edges if x.id != e.id])
 
 
 def subdivide_edge(g: MultiGraph, edge_id: str,
@@ -394,86 +386,46 @@ class CycleBasisContext:
         return self.Q[i - 1][j - 1]
 
 
-def _default_spanning_tree(g: MultiGraph) -> list[str]:
-    """BFS from the least vertex id, scanning incident edges by least id."""
-    start = min(g.vertices, key=idkey)
-    seen = {start}
-    tree: list[str] = []
-    todo = deque([start])
-    while todo:
-        u = todo.popleft()
-        for e in sorted(g.incident(u), key=lambda e: idkey(e.id)):
-            w = e.other(u)
-            if w not in seen:
-                seen.add(w)
-                tree.append(e.id)
-                todo.append(w)
-    return tree
-
-
-def _validate_tree(g: MultiGraph, tree_ids: Iterable[str]) -> list[str]:
-    ids = [str(t) for t in tree_ids]
+def _validate_tree(g: MultiGraph, ids: list[str], root: str) -> dict[str, Edge]:
+    """The hinted spanning tree, rooted at root as `_bfs_tree` returns it."""
     if len(set(ids)) != len(ids):
         raise PreconditionError("tree hint repeats edges")
-    for t in ids:
-        g.edge(t)
+    edges = [g.edge(t) for t in ids]
     if len(ids) != len(g.vertices) - 1:
         raise PreconditionError(
             f"tree hint has {len(ids)} edges, need {len(g.vertices) - 1}")
-    # spanning and acyclic follows from size + connectivity over all vertices
-    seen: set[str] = set()
-    parent: dict[str, str] = {}
-    edges = [g.edge(t) for t in ids]
     if any(e.is_loop() for e in edges):
         raise PreconditionError("tree hint contains a loop")
-    start = min(g.vertices, key=idkey)
-    seen.add(start)
-    todo = deque([start])
-    inc: dict[str, list[Edge]] = {}
-    for e in edges:
-        inc.setdefault(e.tail, []).append(e)
-        inc.setdefault(e.head, []).append(e)
-    while todo:
-        u = todo.popleft()
-        for e in inc.get(u, []):
-            w = e.other(u)
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    if seen != g.vertices:
+    # |V| - 1 edges that reach every vertex form a spanning tree
+    tree = _bfs_tree(_incidence(g.vertices, edges), root)
+    if len(tree) != len(ids):
         raise PreconditionError("tree hint does not span the graph")
-    return ids
+    return tree
 
 
-def _tree_path_signs(g: MultiGraph, tree_ids: list[str],
-                     src: str, dst: str) -> dict[str, int]:
-    """Signed edges of the unique tree path src -> dst."""
-    if src == dst:
-        return {}
-    inc: dict[str, list[Edge]] = {}
-    for t in tree_ids:
-        e = g.edge(t)
-        inc.setdefault(e.tail, []).append(e)
-        inc.setdefault(e.head, []).append(e)
-    prev: dict[str, tuple[str, Edge]] = {}
-    seen = {src}
-    todo = deque([src])
-    while todo:
-        u = todo.popleft()
-        if u == dst:
-            break
-        for e in inc.get(u, []):
-            w = e.other(u)
-            if w not in seen:
-                seen.add(w)
-                prev[w] = (u, e)
-                todo.append(w)
-    signs: dict[str, int] = {}
-    v = dst
-    while v != src:
-        u, e = prev[v]
-        signs[e.id] = 1 if (e.tail, e.head) == (u, v) else -1
-        v = u
+def _path_to_root(tree: Mapping[str, Edge], v: str) -> list[tuple[str, Edge]]:
+    """The (vertex, edge to its parent) steps from v up to the root."""
+    steps = []
+    while v in tree:
+        steps.append((v, tree[v]))
+        v = tree[v].other(v)
+    return steps
+
+
+def _fundamental_cycle(tree: Mapping[str, Edge], e: Edge) -> dict[str, int]:
+    """Signs of the cycle that runs along e, then back from e.head to
+    e.tail through the rooted tree; listed from e, then e.tail's end."""
+    up_tail, up_head = _path_to_root(tree, e.tail), _path_to_root(tree, e.head)
+    while up_tail and up_head and up_tail[-1] == up_head[-1]:
+        up_tail.pop()
+        up_head.pop()
+    signs = {e.id: 1}
+    # from e.tail up to the common ancestor, each edge walked downward
+    for v, up in up_tail:
+        signs[up.id] = 1 if up.head == v else -1
+    # then down to e.head, each edge walked upward
+    for v, up in reversed(up_head):
+        signs[up.id] = 1 if up.tail == v else -1
     return signs
 
 
@@ -481,28 +433,30 @@ def build_cycle_context(g: MultiGraph, tree_hint: Iterable[str] | None = None,
                         basis_order: Iterable[str] | None = None) -> CycleBasisContext:
     """Build the cycle basis and Q for a connected graph.
 
-    Without a hint the spanning tree is chosen deterministically (BFS from
-    the least vertex id, preferring least edge ids).  basis_order may pin
-    the ordering of the non-tree edges; by default they are sorted by id.
+    One spanning tree, rooted at the least vertex id, carries every
+    fundamental cycle: each is read by walking parent edges up to the
+    common ancestor of the basis edge's ends.  Without a hint the tree is
+    the breadth-first tree from that root, scanning edges by least id.
+    basis_order may pin the ordering of the non-tree edges; by default they
+    are sorted by id.
     """
-    tree = _validate_tree(g, tree_hint) if tree_hint is not None else _default_spanning_tree(g)
-    tree_set = set(tree)
-    nontree = [e.id for e in g.edges if e.id not in tree_set]
+    root = min(g.vertices, key=idkey)
+    if tree_hint is None:
+        tree = _bfs_tree(g._incidence, root)
+        tree_ids = [e.id for e in tree.values()]
+    else:
+        tree_ids = [str(t) for t in tree_hint]
+        tree = _validate_tree(g, tree_ids, root)
+    in_tree = set(tree_ids)
+    nontree = [e.id for e in g.edges if e.id not in in_tree]
     if basis_order is not None:
         basis = [str(b) for b in basis_order]
         if sorted(basis, key=idkey) != sorted(nontree, key=idkey):
             raise PreconditionError("basis_order must list exactly the non-tree edges")
     else:
         basis = sorted(nontree, key=idkey)
-    tree_sorted = sorted(tree, key=idkey)
-
-    cycles = []
-    for b in basis:
-        e = g.edge(b)
-        signs = {e.id: 1}
-        if not e.is_loop():
-            signs.update(_tree_path_signs(g, tree_sorted, e.head, e.tail))
-        cycles.append(signs)
+    tree_sorted = sorted(tree_ids, key=idkey)
+    cycles = [_fundamental_cycle(tree, g.edge(b)) for b in basis]
 
     gn = len(basis)
     Q = []
@@ -523,7 +477,7 @@ def build_cycle_context(g: MultiGraph, tree_hint: Iterable[str] | None = None,
         graph=g,
         order=tuple(basis + tree_sorted),
         tree=tuple(tree_sorted),
-        cycles=tuple(dict(c) for c in cycles),
+        cycles=tuple(cycles),
         Q=tuple(Q),
     )
 

@@ -59,9 +59,6 @@ class IntMatrix:
     def row(self, i: int) -> list[int]:
         return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
-    def col(self, j: int) -> list[int]:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
-
     def to_rows(self) -> list[list[int]]:
         return [self.row(i) for i in range(self.rows)]
 

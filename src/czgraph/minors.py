@@ -104,10 +104,6 @@ def canonical_form(g: MultiGraph) -> tuple:
     return best
 
 
-def are_isomorphic(g1: MultiGraph, g2: MultiGraph) -> bool:
-    return canonical_form(g1) == canonical_form(g2)
-
-
 # -- pattern predicates -----------------------------------------------------
 
 

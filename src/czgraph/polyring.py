@@ -169,9 +169,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def constant_term(self) -> int:
-        return self._terms.get(_UNIT, 0)
-
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree -1 by convention."""
         if not self._terms:
@@ -356,7 +353,3 @@ def parse_polynomial(text: str) -> IntPolynomial:
             exps[var] = exps.get(var, 0) + exp
         total = total + IntPolynomial({Monomial(exps): coeff})
     return total
-
-
-ZERO = IntPolynomial.zero()
-ONE = IntPolynomial.one()

@@ -197,6 +197,20 @@ def test_exit_code_bad_graph_json(tmp_path, capsys, edges):
     assert err.startswith("parse error: bad graph JSON") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("edit", [
+    lambda data: [1],                                      # not an object
+    lambda data: {k: v for k, v in data.items() if k != "b"},
+    lambda data: {**data, "b": [{**data["b"][0], "poly": "x1 +* x2"}]},
+    lambda data: {**data, "tree": 7},
+], ids=["list", "no-b", "bad-poly", "tree-int"])
+def test_exit_code_bad_cocycle_json(tmp_path, capsys, k4_file, edit):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(edit(V_TAU_K4.to_json_dict())))
+    assert main(["cz-test", k4_file, "--cocycle", str(path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: bad cocycle JSON") and err.count("\n") == 1
+
+
 def test_exit_code_cocycle_is_a_directory(tmp_path, capsys, k4_file):
     assert main(["cz-test", k4_file, "--cocycle", str(tmp_path)]) == EXIT_PARSE
     err = capsys.readouterr().err

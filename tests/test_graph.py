@@ -198,6 +198,49 @@ def test_tree_hint_validation(k4):
         build_cycle_context(k4, tree_hint=["1", "2"])  # wrong size
     with pytest.raises(PreconditionError):
         build_cycle_context(k4, tree_hint=["1", "2", "3"])  # triangle, not spanning
+    with pytest.raises(PreconditionError, match="repeats"):
+        build_cycle_context(k4, tree_hint=["4", "4", "5"])
+    looped = MultiGraph(k4.vertices, list(k4.edges) + [Edge("7", "1", "1")])
+    with pytest.raises(PreconditionError, match="loop"):
+        build_cycle_context(looped, tree_hint=["4", "5", "7"])
+
+
+def random_spanning_tree(rng: random.Random, g: MultiGraph) -> list[str]:
+    """Ids of a random spanning tree: a union-find pass over shuffled edges."""
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    root = {v: v for v in g.vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+    tree = []
+    for e in edges:
+        a, b = find(e.tail), find(e.head)
+        if a != b:
+            root[a] = b
+            tree.append(e.id)
+    return tree
+
+
+def test_fundamental_cycles_are_closed_on_random_graphs():
+    rng = random.Random(17)
+    for _ in range(200):
+        g = random_multigraph(rng, rng.randint(1, 5))
+        for hint in (None, random_spanning_tree(rng, g)):
+            ctx = build_cycle_context(g, tree_hint=hint)
+            tree = set(ctx.tree)
+            for j, cycle in enumerate(ctx.cycles):
+                basis_edge = ctx.order[j]
+                assert cycle[basis_edge] == 1
+                assert set(cycle) - {basis_edge} <= tree
+                boundary = dict.fromkeys(g.vertices, 0)
+                for eid, sign in cycle.items():
+                    e = g.edge(eid)
+                    boundary[e.head] += sign
+                    boundary[e.tail] -= sign
+                assert set(boundary.values()) == {0}, (g, hint, basis_edge, cycle)
 
 
 def test_q_properties_on_random_graphs():
