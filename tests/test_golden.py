@@ -1,9 +1,15 @@
 """Golden-output lock: the `--json` stdout of every subcommand on both
-fixtures, byte for byte.
+fixtures, and of the algebraic subcommands on three trivial-by-construction
+inputs, byte for byte.
 
-The graph file's path is written into the report's inputs, so it is
-normalized to `fixtures/<name>` before the comparison.  To regenerate the
-files after a deliberate output change, run
+The trivial inputs (`tests/golden/inputs/pool-*`) are a g=3, a g=4 and a
+g=5 member of the benchmark's cz pool with the cocycle that is the a^b^b
+part of (delta_G - I) applied to a small integer a^a^b element, so their
+graph- and curve-level verdicts carry a nonzero certificate `a`.
+
+Input paths are written into the report's inputs, so each is normalized to
+its path relative to the repository root before the comparison.  To
+regenerate the files after a deliberate output change, run
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -26,54 +32,63 @@ FIXTURES = {
     "k4": {"cocycle": "builtin:K4", "tree": "4,5,6"},
     "l3": {"cocycle": "builtin:L3", "tree": "5,6"},
 }
+TRIVIAL_INPUTS = ("pool-g3-7", "pool-g4-0", "pool-g5-1")
 ONES = "1,1,1,1,1,1"
 
 
-def _cases() -> dict[str, tuple[str | None, list[str]]]:
-    """Golden file stem -> (fixture name or None, argv; "@" is the fixture's path)."""
-    cases: dict[str, tuple[str | None, list[str]]] = {}
+def _cases() -> dict[str, list[str]]:
+    """Golden file stem -> argv; arguments that name files under the
+    repository root are given relative to it."""
+    cases: dict[str, list[str]] = {}
     for name, fx in FIXTURES.items():
-        cases[f"{name}-qmatrix"] = (name, ["qmatrix", "@"])
-        cases[f"{name}-qmatrix-tree"] = (name, ["qmatrix", "@", "--tree", fx["tree"]])
-        cases[f"{name}-classify"] = (name, ["classify", "@"])
+        graph = f"fixtures/{name}.txt"
+        cases[f"{name}-qmatrix"] = ["qmatrix", graph]
+        cases[f"{name}-qmatrix-tree"] = ["qmatrix", graph, "--tree", fx["tree"]]
+        cases[f"{name}-classify"] = ["classify", graph]
         for pattern in ("K4", "L3"):
-            cases[f"{name}-minor-{pattern}"] = (name, ["minor", "@", "--pattern", pattern])
+            cases[f"{name}-minor-{pattern}"] = ["minor", graph, "--pattern", pattern]
         for mode in ("diophantine", "psi"):
-            cases[f"{name}-cz-test-{mode}"] = (
-                name, ["cz-test", "@", "--cocycle", fx["cocycle"], "--mode", mode])
-        cases[f"{name}-cz-test-curve"] = (
-            name, ["cz-test", "@", "--cocycle", fx["cocycle"], "--lengths", ONES])
-        cases[f"{name}-lattice"] = (name, ["lattice", "@", "--lengths", ONES])
-    cases["verify-theorem-6"] = (None, ["verify-theorem", "--max-edges", "6"])
+            cases[f"{name}-cz-test-{mode}"] = [
+                "cz-test", graph, "--cocycle", fx["cocycle"], "--mode", mode]
+        cases[f"{name}-cz-test-curve"] = [
+            "cz-test", graph, "--cocycle", fx["cocycle"], "--lengths", ONES]
+        cases[f"{name}-lattice"] = ["lattice", graph, "--lengths", ONES]
+    for name in TRIVIAL_INPUTS:
+        stem = f"tests/golden/inputs/{name}"
+        cocycle = f"{stem}-trivial.json"
+        cases[f"{name}-trivial-cz-test-diophantine"] = [
+            "cz-test", f"{stem}.txt", "--cocycle", cocycle]
+        cases[f"{name}-trivial-cz-test-curve"] = [
+            "cz-test", f"{stem}-curve.txt", "--cocycle", cocycle]
+        cases[f"{name}-lattice"] = ["lattice", f"{stem}-curve.txt"]
+    cases["verify-theorem-6"] = ["verify-theorem", "--max-edges", "6"]
     return cases
 
 
 CASES = _cases()
 
 
-def golden_stdout(fixture: str | None, argv: list[str]) -> str:
-    """Run the CLI with `--json` and return stdout, graph path normalized."""
-    path = str(ROOT / "fixtures" / f"{fixture}.txt") if fixture else None
+def golden_stdout(argv: list[str]) -> str:
+    """Run the CLI with `--json` and return stdout, input paths normalized."""
+    paths = {a: str(ROOT / a) for a in argv if (ROOT / a).is_file()}
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main([path if a == "@" else a for a in argv] + ["--json"])
+        code = main([paths.get(a, a) for a in argv] + ["--json"])
     assert code == EXIT_OK
     out = buf.getvalue()
-    if path is not None:
-        out = out.replace(json.dumps(path), json.dumps(f"fixtures/{fixture}.txt"))
+    for rel, path in paths.items():
+        out = out.replace(json.dumps(path), json.dumps(rel))
     return out
 
 
 @pytest.mark.parametrize("stem", sorted(CASES))
 def test_golden_json_output(stem):
-    fixture, argv = CASES[stem]
     expected = (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
-    assert golden_stdout(fixture, argv) == expected
+    assert golden_stdout(CASES[stem]) == expected
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for stem, (fixture, argv) in sorted(CASES.items()):
-        (GOLDEN / f"{stem}.json").write_text(golden_stdout(fixture, argv),
-                                             encoding="utf-8")
+    for stem, argv in sorted(CASES.items()):
+        (GOLDEN / f"{stem}.json").write_text(golden_stdout(argv), encoding="utf-8")
         print(stem)
