@@ -13,6 +13,19 @@ of the class is decided two ways:
 * curve level: after evaluating at edge lengths, membership of the
   specialized class in the integer image lattice (method "curve-lattice").
 
+Both levels take the squared-twist generators from one integer kernel.  The
+unit a_i^a_j^b_k reaches only the triples that contain k, where its
+coefficient is +-2 times a 2x2 minor of Q with columns i, j and rows the
+other two indices (`_twist_pattern`).  The C(g,2)^2 minors are computed once
+per decision (`_q_minors`) as quadratic forms over edge-position pairs: the
+graph level fills its integer equations straight from them, and the curve
+level evaluates them at the edge lengths.  The graph-level system keeps only
+the equations that can constrain it: one whose generator row and right-hand
+side are both zero is a zero column of A^T, which the Hermite form never
+pivots on, so the solution and certificate are the same as the full
+system's.  `extalg.image2_coeffs` stays the independent reference oracle
+that replays every trivial graph-level verdict and runs the "psi" mode.
+
 The minor-theoretic classifier ("minor-theorem") decides triviality of the
 graph itself: trivial exactly when there is no K4 or L3 minor.
 """
@@ -22,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping
 
 from . import intlin
@@ -196,21 +210,94 @@ def compute_w(v: CeresaCocycle) -> CZClass:
     return CZClass(v.context, image1_coeffs(v.context, v.b))
 
 
+# -- the squared-twist kernel ------------------------------------------------
+
+
+def _twist_pattern(g: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Where the squared-twist generators are nonzero, at genus g.
+
+    The unit a_i^a_j^b_k (i < j) reaches only the triples (r, s, t) that
+    contain k, where image2_coeffs gives it the coefficient +2 M(s, t; i, j)
+    if k = r, -2 M(r, t; i, j) if k = s and +2 M(r, s; i, j) if k = t.  Each
+    entry is (column in aab_keys order, index in triple_indices, factor +-2,
+    index of the minor in _q_minors).
+    """
+    pairs = {p: n for n, p in enumerate(combinations(range(1, g + 1), 2))}
+    out = []
+    for col, (i, j, k) in enumerate(aab_keys(g)):
+        ij = pairs[(i, j)]
+        for t, (r, s, u) in enumerate(triple_indices(g)):
+            if k in (r, s, u):
+                factor, other = {r: (2, (s, u)), s: (-2, (r, u)), u: (2, (r, s))}[k]
+                out.append((col, t, factor, pairs[other] * len(pairs) + ij))
+    return tuple(out)
+
+
+def _positions(poly: IntPolynomial, pos: Mapping[str, int]) -> dict[tuple[int, ...], int]:
+    """A polynomial as a form: each monomial keyed by the sorted positions
+    of its factors in the graph's edge order, with repetition."""
+    form: dict[tuple[int, ...], int] = {}
+    for mono, c in poly.terms.items():
+        key = tuple(sorted(pos[v] for v, e in mono.factors for _ in range(e)))
+        form[key] = form.get(key, 0) + c
+    return {key: c for key, c in form.items() if c}
+
+
+def _q_minors(ctx: CycleBasisContext) -> list[dict[tuple[int, ...], int]]:
+    """The 2x2 minors M(u, v; i, j) = q_ui q_vj - q_uj q_vi of Q for u < v
+    and i < j, row pairs major, as quadratic forms keyed (a, b), a <= b."""
+    pos = {e.id: n for n, e in enumerate(ctx.graph.edges)}
+    lin = [[_positions(q, pos) for q in row] for row in ctx.Q]
+    pairs = list(combinations(range(ctx.g), 2))
+    minors = []
+    for u, v in pairs:
+        for i, j in pairs:
+            form: dict[tuple[int, ...], int] = {}
+            for x, y, sign in ((lin[u][i], lin[v][j], 1), (lin[u][j], lin[v][i], -1)):
+                for (a,), ca in x.items():
+                    for (b,), cb in y.items():
+                        key = (a, b) if a <= b else (b, a)
+                        form[key] = form.get(key, 0) + sign * ca * cb
+            minors.append({key: c for key, c in form.items() if c})
+    return minors
+
+
+def _graph_system(ctx: CycleBasisContext, w: CZClass
+                  ) -> tuple[int, list[list[int]], list[int]]:
+    """The graph-level system: the number of equations, then the A rows and
+    right-hand sides of the equations that can constrain a solution.
+
+    The equations are triple-major over the sorted monomials of the minors
+    and the class, one column per unit in aab_keys order, filled straight
+    from the minors.  An equation whose A-row and right-hand side are both
+    zero is a zero column of A^T, which never takes a pivot in the Hermite
+    form, so dropping it leaves the solution unchanged.  A zero A-row with a
+    nonzero right-hand side stays and makes the system infeasible.
+    """
+    pos = {e.id: n for n, e in enumerate(ctx.graph.edges)}
+    minors = _q_minors(ctx)
+    target = {t: _positions(w.c[tr], pos)
+              for t, tr in enumerate(triple_indices(ctx.g)) if tr in w.c}
+    # Monomial's order: by the first edge, then x_a x_b before x_a^2
+    monos = sorted(set().union(*minors, *target.values()),
+                   key=lambda ab: (ab[0], ab[1] if ab[1] != ab[0] else len(pos)))
+    row_of = {m: n for n, m in enumerate(monos)}
+    width, n_units = len(monos), len(aab_keys(ctx.g))
+    rows: dict[int, list[int]] = {}
+    for col, t, factor, minor in _twist_pattern(ctx.g):
+        for m, c in minors[minor].items():
+            r = t * width + row_of[m]
+            if r not in rows:
+                rows[r] = [0] * n_units
+            rows[r][col] = factor * c
+    rhs = {t * width + row_of[m]: c for t, form in target.items() for m, c in form.items()}
+    kept = sorted(rows.keys() | rhs.keys())
+    zero = [0] * n_units
+    return (len(triple_indices(ctx.g)) * width, [rows.get(r, zero) for r in kept],
+            [rhs.get(r, 0) for r in kept])
+
+
 # -- graph-level decision ----------------------------------------------------
-
-
-def _image2_unit_generators(ctx: CycleBasisContext
-                            ) -> dict[tuple[int, int, int],
-                                      dict[tuple[int, int, int], IntPolynomial]]:
-    """Image of each unit a_i^a_j^b_k under the squared twist map."""
-    return {key: image2_coeffs(ctx, {key: 1}) for key in aab_keys(ctx.g)}
-
-
-def _monomials_of(polys) -> list[Monomial]:
-    monos = set()
-    for p in polys:
-        monos.update(p.terms.keys())
-    return sorted(monos)
 
 
 def is_cz_trivial_graph(G: MultiGraph, v: CeresaCocycle,
@@ -241,23 +328,14 @@ def is_cz_trivial_graph(G: MultiGraph, v: CeresaCocycle,
 
 
 def _trivial_graph_main(ctx: CycleBasisContext, w: CZClass) -> TrivialityVerdict:
-    gens = _image2_unit_generators(ctx)
     units = aab_keys(ctx.g)
-    triples = triple_indices(ctx.g)
-    monos = _monomials_of([p for gen in gens.values() for p in gen.values()]
-                          + list(w.c.values()))
-    rows = [(tr, m) for tr in triples for m in monos]
-    entries = []
-    for (tr, m) in rows:
-        for key in units:
-            entries.append(gens[key].get(tr, IntPolynomial.zero()).coefficient(m))
-    A = intlin.IntMatrix(len(rows), len(units), entries)
-    rhs = [w.c.get(tr, IntPolynomial.zero()).coefficient(m) for (tr, m) in rows]
-    result = intlin.solve_diophantine(A, rhs)
+    n_equations, rows, rhs = _graph_system(ctx, w)
+    result = intlin.solve_diophantine(intlin.IntMatrix.from_rows(rows, cols=len(units)), rhs)
     if not result.feasible:
         return TrivialityVerdict(
             False, "graph-diophantine",
-            certificate={"infeasible": True, "unknowns": len(units), "equations": len(rows)})
+            certificate={"infeasible": True, "unknowns": len(units),
+                         "equations": n_equations})
     a = {key: coeff for key, coeff in zip(units, result.solution) if coeff}
     _replay_graph_certificate(ctx, a, w)
     return TrivialityVerdict(True, "graph-diophantine", certificate={"a": a})
@@ -308,7 +386,7 @@ def _trivial_graph_psi(ctx: CycleBasisContext, w: CZClass) -> TrivialityVerdict:
         for triple, poly in el.terms.items():
             for m in poly.terms:
                 keys.add((triple, m))
-    monos2 = _monomials_of([IntPolynomial({m: 1}) for (_, m) in keys if m.degree() == 2])
+    monos2 = sorted({m for (_, m) in keys if m.degree() == 2})
     for i, terms in omega_beta.items():
         for triple, poly in terms.items():
             for m0 in monos2:
@@ -393,12 +471,16 @@ def image_lattice(curve: TropicalCurve,
 
 def _specialized_generators(ctx: CycleBasisContext, curve: TropicalCurve
                             ) -> dict[tuple[int, int, int], list[int]]:
-    triples = triple_indices(ctx.g)
-    out = {}
-    for key, gen in _image2_unit_generators(ctx).items():
-        out[key] = [gen.get(tr, IntPolynomial.zero()).evaluate(curve.lengths)
-                    for tr in triples]
-    return out
+    """Each unit's squared-twist image at the curve's edge lengths, over
+    sorted triples: the kernel's minors evaluated to integers."""
+    lengths = [curve.lengths[e.id] for e in ctx.graph.edges]
+    minors = [sum(c * lengths[a] * lengths[b] for (a, b), c in form.items())
+              for form in _q_minors(ctx)]
+    units = aab_keys(ctx.g)
+    gens = [[0] * len(triple_indices(ctx.g)) for _ in units]
+    for col, t, factor, minor in _twist_pattern(ctx.g):
+        gens[col][t] = factor * minors[minor]
+    return dict(zip(units, gens))
 
 
 def is_cz_trivial_curve(curve: TropicalCurve, v: CeresaCocycle) -> TrivialityVerdict:

@@ -135,10 +135,10 @@ def _cmd_cz_test(args) -> CommandReport:
     else:
         verdict = is_cz_trivial_graph(graph, cocycle, mode=args.mode)
     result = verdict.to_json_dict()
-    result["class"] = compute_w(cocycle).to_json_dict()
+    w = compute_w(cocycle)
+    result["class"] = w.to_json_dict()
     if lengths is not None:
-        result["specialized_class"] = specialize(compute_w(cocycle),
-                                                 TropicalCurve(graph, lengths))
+        result["specialized_class"] = specialize(w, curve)
     return CommandReport(
         "cz-test",
         {"graphfile": args.graphfile, "cocycle": args.cocycle,

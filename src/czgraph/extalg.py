@@ -499,27 +499,35 @@ def image2_coeffs(ctx: CycleBasisContext,
         c_rst = 2 sum_{i<j} | q_ri q_rj a_ijr ; q_si q_sj a_ijs ; q_ti q_tj a_ijt |.
 
     Every output coefficient is even.  Agrees with applying delta_G_L twice.
+    This is the reference oracle: the decisions in `ceresa` build their
+    generators from the integer minor kernel instead, and use this closed
+    form, in polynomial arithmetic, to replay graph-level certificates and
+    in the "psi" mode.
     """
     g = ctx.g
     if g < 3:
         raise PreconditionError("image2_coeffs needs genus >= 3")
     _check_keys(g, a.keys(), set(aab_keys(g)))
     aa = {k: IntPolynomial.coerce(v) for k, v in a.items()}
+    zero = IntPolynomial.zero()
 
     def get(i, j, k):
-        return aa.get((i, j, k), IntPolynomial.zero())
+        return aa.get((i, j, k), zero)
 
     out: dict[tuple[int, int, int], IntPolynomial] = {}
     for (r, s, t) in triple_indices(g):
         total = IntPolynomial.zero()
         for i in range(1, g + 1):
             for j in range(i + 1, g + 1):
+                air, ais, ait = get(i, j, r), get(i, j, s), get(i, j, t)
+                if air.is_zero() and ais.is_zero() and ait.is_zero():
+                    continue  # the determinant's last column is zero
                 qri, qrj = ctx.q_entry(r, i), ctx.q_entry(r, j)
                 qsi, qsj = ctx.q_entry(s, i), ctx.q_entry(s, j)
                 qti, qtj = ctx.q_entry(t, i), ctx.q_entry(t, j)
-                det = (get(i, j, r) * (qsi * qtj - qsj * qti)
-                       - get(i, j, s) * (qri * qtj - qrj * qti)
-                       + get(i, j, t) * (qri * qsj - qrj * qsi))
+                det = (air * (qsi * qtj - qsj * qti)
+                       - ais * (qri * qtj - qrj * qti)
+                       + ait * (qri * qsj - qrj * qsi))
                 total = total + det
         total = total + total
         if not total.is_zero():

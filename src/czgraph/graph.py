@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .polyring import IntPolynomial, idkey
+from .polyring import IntPolynomial, idkey, is_variable_name
 
 
 class GraphError(ValueError):
@@ -518,6 +518,14 @@ def specialize_Q(ctx: CycleBasisContext, curve: TropicalCurve) -> list[list[int]
 # -- text and JSON formats -------------------------------------------------
 
 
+def _check_edge_id(eid: str, line: int | None = None) -> None:
+    """Edge ids name polynomial variables, so they must read back from the
+    text form x<id>; vertex ids never reach it and are not restricted."""
+    if not is_variable_name(eid):
+        raise ParseError(f"edge id {eid!r} is not made of letters, digits and "
+                         "underscores only", line)
+
+
 def parse_graph_text(text: str) -> tuple[MultiGraph, dict[str, int] | None]:
     """Parse the line format: 'v <id>' and 'e <id> <tail> <head> [length]'.
 
@@ -541,6 +549,7 @@ def parse_graph_text(text: str) -> tuple[MultiGraph, dict[str, int] | None]:
             if len(parts) not in (4, 5):
                 raise ParseError("edge line needs: e <id> <tail> <head> [length]", lineno)
             eid, tail, head = parts[1], parts[2], parts[3]
+            _check_edge_id(eid, lineno)
             if any(x.id == eid for x in edges):
                 raise ParseError(f"duplicate edge id {eid!r}", lineno)
             edges.append(Edge(eid, tail, head))
@@ -600,6 +609,8 @@ def graph_from_json_dict(data: dict) -> tuple[MultiGraph, dict[str, int] | None]
         raise ParseError(f"bad graph JSON: missing key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise ParseError(f"bad graph JSON: {exc}") from None
+    for edge in edges:
+        _check_edge_id(edge.id)
     graph = MultiGraph(vertices, edges)
     if lengths:
         missing = [e.id for e in graph.edges if e.id not in lengths]

@@ -9,6 +9,7 @@ modular or floating-point shortcuts anywhere.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,7 +29,7 @@ class IntMatrix:
                 f"entry count {len(entries)} does not match shape {rows}x{cols}")
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(int(e) for e in entries)
+        self.entries = tuple(map(int, entries))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -63,8 +64,8 @@ class IntMatrix:
         return [self.row(i) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         [self[i, j] for j in range(self.cols) for i in range(self.rows)])
+        e, c = self.entries, self.cols
+        return IntMatrix(self.cols, self.rows, [x for j in range(c) for x in e[j::c]])
 
     def matmul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -80,8 +81,9 @@ class IntMatrix:
     def apply(self, vec: Sequence[int]) -> list[int]:
         if len(vec) != self.cols:
             raise DimensionError(f"vector of length {len(vec)} against {self.cols} columns")
-        return [sum(self[i, k] * int(vec[k]) for k in range(self.cols))
-                for i in range(self.rows)]
+        v = [int(x) for x in vec]
+        e, c = self.entries, self.cols
+        return [sum(map(operator.mul, e[i * c:(i + 1) * c], v)) for i in range(self.rows)]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntMatrix) and self.rows == other.rows

@@ -1,9 +1,11 @@
 """Exact sparse multivariate polynomial arithmetic over the integers.
 
-Variables are indexed by edge identifiers (arbitrary non-empty strings) and
-rendered as ``x<id>``, so the ring is Z[x_e : e an edge id].  Coefficients
-are Python ints, hence arbitrary precision; all operations are exact and
-return canonical polynomials (no zero coefficients stored).
+Variables are indexed by edge identifiers and rendered as ``x<id>``, so the
+ring is Z[x_e : e an edge id].  The text form reads back only for ids made of
+ASCII letters, digits and underscores (`is_variable_name`); the graph
+parsers reject any other edge id.  Coefficients are Python ints, hence
+arbitrary precision; all operations are exact and return canonical
+polynomials (no zero coefficients stored).
 
 Polynomials are immutable values: every operation returns a new object and
 instances may be shared freely between threads.
@@ -12,8 +14,8 @@ instances may be shared freely between threads.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from functools import total_ordering
-from typing import Iterable, Mapping
 
 
 class PolynomialError(ValueError):
@@ -311,7 +313,13 @@ class IntPolynomial:
         return f"IntPolynomial({self})"
 
 
-_TOKEN_RE = re.compile(r"x([A-Za-z0-9_]+)(?:\^(\d+))?$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
+_TOKEN_RE = re.compile(rf"x({_NAME_RE.pattern})(?:\^(\d+))?$")
+
+
+def is_variable_name(name: str) -> bool:
+    """True when x<name> is one token of the polynomial text grammar."""
+    return _NAME_RE.fullmatch(name) is not None
 
 
 def parse_polynomial(text: str) -> IntPolynomial:

@@ -33,6 +33,25 @@ def random_multigraph(rng: random.Random, target_genus: int,
     return MultiGraph(vertices, edges)
 
 
+def random_spanning_tree(rng: random.Random, g: MultiGraph) -> list[str]:
+    """Ids of a random spanning tree: a union-find pass over shuffled edges."""
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    root = {v: v for v in g.vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+    tree = []
+    for e in edges:
+        a, b = find(e.tail), find(e.head)
+        if a != b:
+            root[a] = b
+            tree.append(e.id)
+    return tree
+
+
 def random_linear_form(rng: random.Random, edge_ids, max_terms: int = 3) -> IntPolynomial:
     poly = IntPolynomial.zero()
     for _ in range(rng.randint(1, max_terms)):

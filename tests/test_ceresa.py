@@ -4,18 +4,23 @@ import random
 import pytest
 
 from czgraph.ceresa import (V_TAU_K4, V_TAU_L3, CeresaCocycle, CZClass,
-                            classify, compute_w, image_lattice,
+                            _graph_system, _specialized_generators,
+                            _trivial_graph_main, classify, compute_w,
+                            image_lattice,
                             is_cz_trivial_curve, is_cz_trivial_graph,
                             k4_context, k4_graph, l3_context, l3_graph,
                             pushforward_contract, pushforward_subdivide,
                             specialize)
-from czgraph.extalg import abb_keys
+from czgraph.extalg import (aab_keys, abb_keys, image2_coeffs,
+                            triple_indices)
 from czgraph.graph import (MultiGraph, PreconditionError, TropicalCurve,
                            build_cycle_context, genus)
+from czgraph.intlin import IntMatrix, solve_diophantine
 from czgraph.polyring import IntPolynomial
 from czgraph.polyring import parse_polynomial as P
 
-from conftest import random_abb_map, random_multigraph
+from conftest import (random_aab_map, random_abb_map, random_multigraph,
+                      random_spanning_tree)
 
 NEG2X2X5 = P("-2*x2*x5")
 NEG2X5X6 = P("-2*x5*x6")
@@ -117,21 +122,96 @@ def test_image_lattice_l3():
 
 
 def test_curve_verdict_builds_each_generator_once(monkeypatch):
+    """The curve path builds the kernel's minors once per verdict and never
+    calls the image2_coeffs oracle."""
     import czgraph.ceresa as ceresa
-    real = ceresa.image2_coeffs
-    calls = []
+    calls = {"minors": 0, "image2_coeffs": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(ceresa, "image2_coeffs", counted)
+    monkeypatch.setattr(ceresa, "_q_minors", counted("minors", ceresa._q_minors))
+    monkeypatch.setattr(ceresa, "image2_coeffs",
+                        counted("image2_coeffs", ceresa.image2_coeffs))
     curve = ones_curve(l3_graph())
     verdict = is_cz_trivial_curve(curve, V_TAU_L3)
     assert not verdict.trivial
-    assert len(calls) == 24  # one per unit a_i^a_j^b_k at genus 4
+    assert calls == {"minors": 1, "image2_coeffs": 0}
     monkeypatch.undo()
     assert verdict.certificate["lattice_hnf"] == image_lattice(curve, l3_context())
+
+
+def _oracle_system(ctx, w):
+    """Every (triple, monomial) equation of the graph-level system, one
+    column per unit, each column built by the image2_coeffs oracle."""
+    zero = IntPolynomial.zero()
+    gens = [image2_coeffs(ctx, {key: 1}) for key in aab_keys(ctx.g)]
+    monos = sorted({m for gen in gens for p in gen.values() for m in p.terms}
+                   | {m for p in w.c.values() for m in p.terms})
+    rows, rhs = [], []
+    for tr in triple_indices(ctx.g):
+        for m in monos:
+            rows.append([gen.get(tr, zero).coefficient(m) for gen in gens])
+            rhs.append(w.c.get(tr, zero).coefficient(m))
+    return gens, rows, rhs
+
+
+def test_kernel_matches_image2_oracle():
+    """The minor kernel against image2_coeffs, unit by unit: at graph level
+    as the columns of the full system, at curve level evaluated at random
+    lengths; and dropping the equations with zero A-row and zero right-hand
+    side leaves the Diophantine solution unchanged."""
+    rng = random.Random(8)
+    zero = IntPolynomial.zero()
+    seen = {"feasible": 0, "infeasible": 0, "dropped": 0, "zero_row_kept": 0}
+    for n in range(150):
+        # 60 / 45 / 30 / 15 graphs of genus 3 / 4 / 5 / 6
+        graph = random_multigraph(rng, (3, 3, 3, 3, 4, 4, 4, 5, 5, 6)[n % 10],
+                                  max_vertices=5)
+        for tree in (None, random_spanning_tree(rng, graph)):
+            ctx = build_cycle_context(graph, tree_hint=tree)
+            if rng.random() < 0.5:
+                w = compute_w(CeresaCocycle(ctx, random_abb_map(rng, ctx)))
+            else:
+                w = CZClass(ctx, image2_coeffs(
+                    ctx, random_aab_map(rng, ctx, density=0.2, integers=True)))
+            gens, rows, rhs = _oracle_system(ctx, w)
+            n_equations, kernel_rows, kernel_rhs = _graph_system(ctx, w)
+            kept = [(r, b) for r, b in zip(rows, rhs) if any(r) or b]
+            assert n_equations == len(rows)
+            assert list(zip(kernel_rows, kernel_rhs)) == kept
+            seen["dropped"] += len(rows) - len(kept)
+            seen["zero_row_kept"] += sum(1 for r, _ in kept if not any(r))
+            full = solve_diophantine(IntMatrix.from_rows(rows), rhs)
+            reduced = solve_diophantine(
+                IntMatrix.from_rows(kernel_rows, cols=len(gens)), kernel_rhs)
+            assert (reduced.feasible, reduced.solution) == (full.feasible, full.solution)
+            seen["feasible" if full.feasible else "infeasible"] += 1
+
+            lengths = {e.id: rng.randint(1, 5) for e in graph.edges}
+            specialized = _specialized_generators(ctx, TropicalCurve(graph, lengths))
+            for key, gen in zip(aab_keys(ctx.g), gens):
+                assert specialized[key] == [gen.get(tr, zero).evaluate(lengths)
+                                            for tr in triple_indices(ctx.g)]
+    assert all(seen.values()), seen
+
+
+def test_zero_row_with_nonzero_rhs_is_infeasible():
+    """A class term on a bridge variable meets no generator: its equation
+    keeps a zero A-row, and the system stays infeasible."""
+    graph = MultiGraph(["1", "2"], [("1", "1", "1"), ("2", "1", "1"), ("3", "2", "2"),
+                                    ("4", "1", "2")])
+    ctx = build_cycle_context(graph)
+    w = CZClass(ctx, {(1, 2, 3): P("2*x4^2")})
+    n_equations, rows, rhs = _graph_system(ctx, w)
+    assert ([0] * len(aab_keys(3)), 2) in zip(rows, rhs)
+    verdict = _trivial_graph_main(ctx, w)
+    assert not verdict.trivial
+    assert verdict.certificate == {"infeasible": True, "unknowns": len(aab_keys(3)),
+                                   "equations": n_equations}
 
 
 def test_image_lattice_generators_are_even():

@@ -197,6 +197,22 @@ def test_exit_code_bad_graph_json(tmp_path, capsys, edges):
     assert err.startswith("parse error: bad graph JSON") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name, text", [
+    ("g.txt", "v a\nv b\ne 1 a b\ne e-1 a b\ne 3 a b\n"),
+    ("g.txt", "e 1 a a\ne a.b a a\n"),
+    ("g.json", json.dumps({"edges": [{"id": "1", "tail": "a", "head": "b"},
+                                     {"id": "e-1", "tail": "a", "head": "b"}]})),
+    ("g.json", json.dumps({"edges": [{"id": "", "tail": "a", "head": "a"}]})),
+], ids=["text-minus", "text-dot", "json-minus", "json-empty"])
+def test_exit_code_edge_id_outside_the_polynomial_grammar(tmp_path, capsys, name, text):
+    # "e-1" would render in Q as "xe-1", which reads back as xe - 1
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["qmatrix", str(path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and "edge id" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("edit", [
     lambda data: [1],                                      # not an object
     lambda data: {k: v for k, v in data.items() if k != "b"},

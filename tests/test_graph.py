@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -13,7 +14,7 @@ from czgraph.intlin import IntMatrix, determinant
 from czgraph.polyring import Monomial
 from czgraph.polyring import parse_polynomial as P
 
-from conftest import random_multigraph
+from conftest import random_multigraph, random_spanning_tree
 
 
 def q_strings(ctx):
@@ -205,25 +206,6 @@ def test_tree_hint_validation(k4):
         build_cycle_context(looped, tree_hint=["4", "5", "7"])
 
 
-def random_spanning_tree(rng: random.Random, g: MultiGraph) -> list[str]:
-    """Ids of a random spanning tree: a union-find pass over shuffled edges."""
-    edges = list(g.edges)
-    rng.shuffle(edges)
-    root = {v: v for v in g.vertices}
-
-    def find(v):
-        while root[v] != v:
-            v = root[v]
-        return v
-    tree = []
-    for e in edges:
-        a, b = find(e.tail), find(e.head)
-        if a != b:
-            root[a] = b
-            tree.append(e.id)
-    return tree
-
-
 def test_fundamental_cycles_are_closed_on_random_graphs():
     rng = random.Random(17)
     for _ in range(200):
@@ -314,3 +296,35 @@ def test_parse_errors_carry_line_numbers():
 def test_comments_and_blanks_ignored():
     g, _ = parse_graph_text("# banana\n\nv 1\nv 2\ne 1 1 2\ne 2 2 1 # back\n")
     assert genus(g) == 1
+
+
+def test_edge_ids_survive_render_and_parse():
+    """Every graph the parsers accept renders and parses back to itself,
+    and so does every entry of its Q; ids outside [A-Za-z0-9_]+ are refused
+    by both parsers."""
+    rng = random.Random(29)
+    def char():
+        return rng.choice("-.+*^" if rng.random() < 0.04 else "abxyz019_")
+    accepted = refused = 0
+    for _ in range(300):
+        base = random_multigraph(rng, rng.randint(1, 4), max_vertices=4)
+        ids = set()
+        while len(ids) < len(base.edges):
+            ids.add("".join(char() for _ in range(rng.randint(1, 4))))
+        edges = [(i, e.tail, e.head) for i, e in zip(sorted(ids), base.edges)]
+        g = MultiGraph(base.vertices, edges)
+        text, data = render_graph_text(g), graph_to_json_dict(g)
+        if not all(re.fullmatch(r"[A-Za-z0-9_]+", i) for i in ids):
+            refused += 1
+            with pytest.raises(ParseError, match="edge id"):
+                parse_graph_text(text)
+            with pytest.raises(ParseError, match="edge id"):
+                graph_from_json_dict(data)
+            continue
+        accepted += 1
+        assert parse_graph_text(text) == (g, None)
+        assert graph_from_json_dict(data) == (g, None)
+        for row in build_cycle_context(g).Q:
+            for entry in row:
+                assert P(str(entry)) == entry
+    assert accepted > 50 and refused > 50

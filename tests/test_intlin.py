@@ -218,3 +218,17 @@ def test_dimension_checks():
         solve_diophantine(IntMatrix.identity(2), [1, 2, 3])
     with pytest.raises(DimensionError):
         IntMatrix.identity(2).matmul(IntMatrix.identity(3))
+
+
+def test_transpose_and_apply_match_index_loops():
+    rng = random.Random(41)
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (1, 5), (5, 1)]
+    shapes += [(rng.randint(0, 7), rng.randint(0, 7)) for _ in range(40)]
+    for rows, cols in shapes:
+        A = IntMatrix(rows, cols, [rng.randint(-9, 9) for _ in range(rows * cols)])
+        T = A.transpose()
+        assert (T.rows, T.cols) == (cols, rows)
+        assert T.entries == tuple(A[i, j] for j in range(cols) for i in range(rows))
+        vec = [rng.randint(-9, 9) for _ in range(cols)]
+        assert A.apply(vec) == [sum(A[i, k] * vec[k] for k in range(cols))
+                                for i in range(rows)]
