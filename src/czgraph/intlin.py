@@ -40,7 +40,7 @@ class IntMatrix:
                 raise DimensionError("ragged rows")
         else:
             width = cols or 0
-        flat = [int(x) for row in data for x in row]
+        flat = [x for row in data for x in row]
         return cls(len(data), width, flat)
 
     @classmethod

@@ -303,6 +303,7 @@ def test_edge_ids_survive_render_and_parse():
     and so does every entry of its Q; ids outside [A-Za-z0-9_]+ are refused
     by both parsers."""
     rng = random.Random(29)
+
     def char():
         return rng.choice("-.+*^" if rng.random() < 0.04 else "abxyz019_")
     accepted = refused = 0
