@@ -11,8 +11,7 @@ from czgraph.ceresa import (V_TAU_K4, V_TAU_L3, CeresaCocycle, CZClass,
                             k4_context, k4_graph, l3_context, l3_graph,
                             pushforward_contract, pushforward_subdivide,
                             specialize)
-from czgraph.extalg import (aab_keys, abb_keys, image2_coeffs,
-                            triple_indices)
+from czgraph.extalg import aab_keys, image2_coeffs, triple_indices
 from czgraph.graph import (MultiGraph, PreconditionError, TropicalCurve,
                            build_cycle_context, genus)
 from czgraph.intlin import IntMatrix, solve_diophantine
