@@ -5,7 +5,9 @@ inputs, byte for byte.
 The trivial inputs (`tests/golden/inputs/pool-*`) are a g=3, a g=4 and a
 g=5 member of the benchmark's cz pool with the cocycle that is the a^b^b
 part of (delta_G - I) applied to a small integer a^a^b element, so their
-graph- and curve-level verdicts carry a nonzero certificate `a`.
+graph- and curve-level verdicts carry a nonzero certificate `a`.  The
+`classify` inputs add a 6-rung ladder (K4-minor-free, the memoized L3
+search), the Petersen graph and a K4 with every edge subdivided.
 
 Input paths are written into the report's inputs, so each is normalized to
 its path relative to the repository root before the comparison.  To
@@ -33,6 +35,7 @@ FIXTURES = {
     "l3": {"cocycle": "builtin:L3", "tree": "5,6"},
 }
 TRIVIAL_INPUTS = ("pool-g3-7", "pool-g4-0", "pool-g5-1")
+CLASSIFY_INPUTS = ("ladder6", "petersen", "k4-subdivided")
 ONES = "1,1,1,1,1,1"
 
 
@@ -61,7 +64,10 @@ def _cases() -> dict[str, list[str]]:
         cases[f"{name}-trivial-cz-test-curve"] = [
             "cz-test", f"{stem}-curve.txt", "--cocycle", cocycle]
         cases[f"{name}-lattice"] = ["lattice", f"{stem}-curve.txt"]
+    for name in CLASSIFY_INPUTS:
+        cases[f"{name}-classify"] = ["classify", f"tests/golden/inputs/{name}.txt"]
     cases["verify-theorem-6"] = ["verify-theorem", "--max-edges", "6"]
+    cases["verify-theorem-8"] = ["verify-theorem", "--max-edges", "8"]
     return cases
 
 
