@@ -2,16 +2,19 @@
 
 Computes the polynomial polarization matrix of a graph's cycle basis, the
 action of the associated unipotent multitwist on the third exterior power of
-a symplectic lattice, and decides triviality of Ceresa-Zharkov classes two
-independent ways: integer-linear feasibility over polynomial coefficients,
-and the forbidden-minor characterization (no K4 or L3 minor).
+a symplectic lattice, and decides triviality of Ceresa-Zharkov classes three
+ways: integer-linear feasibility over polynomial coefficients (Hermite normal
+form), lattice membership at integer edge lengths, and the forbidden-minor
+characterization (no K4 or L3 minor).  Reference implementations that only
+serve as cross-checks (Smith normal form, determinants, the naive minor
+search) live with the tests, in `tests/*_oracles.py`.
 """
 
 __version__ = "0.1.0"
 
 from .polyring import IntPolynomial, Monomial, parse_polynomial
 from .intlin import (DiophantineResult, IntMatrix, hermite_normal_form,
-                     lattice_membership, smith_normal_form, solve_diophantine)
+                     lattice_membership, solve_diophantine)
 from .graph import (CycleBasisContext, Edge, MultiGraph, TropicalCurve,
                     blocks, build_cycle_context, contract_edge, delete_edge,
                     genus, load_graph_file, parse_graph_text,
@@ -30,7 +33,7 @@ from .ceresa import (V_TAU_K4, V_TAU_L3, CeresaCocycle, CZClass,
 __all__ = [
     "IntPolynomial", "Monomial", "parse_polynomial",
     "DiophantineResult", "IntMatrix", "hermite_normal_form",
-    "lattice_membership", "smith_normal_form", "solve_diophantine",
+    "lattice_membership", "solve_diophantine",
     "CycleBasisContext", "Edge", "MultiGraph", "TropicalCurve",
     "blocks", "build_cycle_context", "contract_edge", "delete_edge",
     "genus", "load_graph_file", "parse_graph_text", "render_graph_text",

@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping
 
@@ -45,7 +46,8 @@ from .extalg import (HElement, LElement, aab_keys, abb_keys, alpha, beta,
 from .graph import (CycleBasisContext, InvariantError, MultiGraph,
                     ParseError, PreconditionError, TropicalCurve, blocks,
                     build_cycle_context, contract_edge, genus,
-                    graph_from_json_dict, graph_to_json_dict, subdivide_edge)
+                    graph_from_json_dict, graph_to_json_dict, json_int,
+                    subdivide_edge)
 from .minors import (MinorWitness, has_k4_minor_fast, has_minor,
                      is_hyperelliptic_type)
 from .polyring import IntPolynomial, Monomial, parse_polynomial
@@ -88,6 +90,12 @@ class CeresaCocycle:
     def graph(self) -> MultiGraph:
         return self.context.graph
 
+    @cached_property
+    def cz_class(self) -> CZClass:
+        """The class (delta_G - I)(v) via the closed form, computed once per
+        cocycle; `compute_w` returns it."""
+        return CZClass(self.context, image1_coeffs(self.context, self.b))
+
     def is_zero(self) -> bool:
         return not self.b
 
@@ -106,7 +114,7 @@ class CeresaCocycle:
             graph_data, tree = data["graph"], data.get("tree")
             if tree is not None and not isinstance(tree, list):
                 raise TypeError("tree must be a list of edge ids")
-            b = {(int(item["i"]), int(item["j"]), int(item["k"])):
+            b = {(json_int(item["i"]), json_int(item["j"]), json_int(item["k"])):
                  parse_polynomial(item["poly"]) for item in data["b"]}
         except KeyError as exc:
             raise ParseError(f"bad cocycle JSON: missing key {exc}") from None
@@ -207,7 +215,7 @@ def _key_str(key) -> str:
 
 def compute_w(v: CeresaCocycle) -> CZClass:
     """The Ceresa-Zharkov class (delta_G - I)(v), via the closed form."""
-    return CZClass(v.context, image1_coeffs(v.context, v.b))
+    return v.cz_class
 
 
 # -- the squared-twist kernel ------------------------------------------------
@@ -559,7 +567,7 @@ def pushforward_subdivide(v: CeresaCocycle, edge_id: str) -> CeresaCocycle:
     ctx = v.context
     ctx.graph.edge(edge_id)
     id1, id2 = edge_id + "a", edge_id + "b"
-    divided = subdivide_edge(ctx.graph, edge_id, (id1, id2))
+    divided = subdivide_edge(ctx.graph, edge_id)
     replacement = IntPolynomial.variable(id1) + IntPolynomial.variable(id2)
     if edge_id in ctx.tree:
         new_tree = [t for t in ctx.tree if t != edge_id] + [id1, id2]

@@ -22,7 +22,7 @@ from .ceresa import (BUILTIN_COCYCLES, CeresaCocycle, InvariantError,
 from .extalg import triple_indices
 from .graph import (GraphError, MultiGraph, ParseError, PreconditionError,
                     TropicalCurve, blocks, build_cycle_context, genus,
-                    load_graph_file)
+                    load_graph_file, parse_json, read_input_file)
 from .intlin import DimensionError
 from .minors import (canonical_form, enumerate_graphs, has_minor,
                      is_hyperelliptic_type, single_step_minors)
@@ -85,11 +85,7 @@ def _load_cocycle(spec: str, graph: MultiGraph) -> CeresaCocycle:
                 f"builtin:{name} only attaches to its pinned labeled graph; "
                 "the input file differs (ids, endpoints or orientation)")
         return cocycle
-    with open(spec, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad cocycle JSON: {exc.msg}", exc.lineno) from None
+    data = parse_json(read_input_file(spec), "cocycle JSON")
     cocycle = CeresaCocycle.from_json_dict(data)
     if cocycle.graph != graph:
         raise PreconditionError("cocycle file's graph differs from the input graph")

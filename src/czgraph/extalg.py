@@ -14,6 +14,13 @@ Coefficients live in the edge polynomial ring; every edge e acts by
 where [e] is the edge's class in the b-basis (the signed incidences of e in
 the fundamental cycles).  The product of all delta_e is the block-unipotent
 map sending a_j to a_j + sum_i q_ij b_i and fixing every b_j.
+
+The closed forms `image1_coeffs` and `image2_coeffs` give the top-filtration
+coefficients of (delta_G - I) and its square directly.  The element-level
+maps (`delta_G_L`, `psi_G`) run the "psi" mode of the graph-level decision.
+Routes that exist only to check the closed forms, such as reading b^b^b
+coefficients off a full element or parsing an element's text, live with
+the tests (`tests/extalg_oracles.py`).
 """
 
 from __future__ import annotations
@@ -363,26 +370,6 @@ def delta_G_H(ctx: CycleBasisContext, h: HElement) -> HElement:
     return HElement(g, h.alpha, new_beta)
 
 
-def delta_minus_I_sum_check(ctx: CycleBasisContext,
-                            exponents: Mapping[str, int],
-                            h: HElement) -> HElement:
-    """Difference (prod_e delta_e^(n_e) - I)(h) - sum_e n_e (delta_e - I)(h).
-
-    The twist product splits into a sum of single-twist differences, so the
-    returned element is identically zero; kept executable as a harness.
-    """
-    lhs = h
-    for edge_id, n in sorted(exponents.items()):
-        for _ in range(abs(int(n))):
-            lhs = delta_ell_H(ctx, edge_id, lhs, inverse=n < 0)
-    lhs = lhs - h
-    rhs = HElement(ctx.g)
-    for edge_id, n in exponents.items():
-        diff = delta_ell_H(ctx, edge_id, h) - h
-        rhs = rhs + diff.scale(IntPolynomial.constant(int(n)))
-    return lhs - rhs
-
-
 def _apply_multiplicative(g: int, x: LElement, act) -> LElement:
     """Extend an H-endomorphism (given on basis labels) to L by wedges."""
     images: dict[Label, HElement] = {}
@@ -535,16 +522,6 @@ def image2_coeffs(ctx: CycleBasisContext,
     return out
 
 
-def abb_to_l_element(g: int,
-                     b: Mapping[tuple[int, int, int], IntPolynomial | int]) -> LElement:
-    """sum b_ijk a_i ^ b_j ^ b_k as an LElement."""
-    out = LElement.zero(g)
-    for (i, j, k), poly in b.items():
-        out = out + LElement.wedge_basis(g, (alpha(i), beta(j), beta(k)),
-                                         IntPolynomial.coerce(poly))
-    return out
-
-
 def aab_to_l_element(g: int,
                      a: Mapping[tuple[int, int, int], IntPolynomial | int]) -> LElement:
     """sum a_ijk a_i ^ a_j ^ b_k as an LElement."""
@@ -554,48 +531,3 @@ def aab_to_l_element(g: int,
                                          IntPolynomial.coerce(poly))
     return out
 
-
-def bbb_coeffs(x: LElement) -> dict[tuple[int, int, int], IntPolynomial]:
-    """Extract the coefficients of b_r ^ b_s ^ b_t terms, keyed (r, s, t)."""
-    out = {}
-    for triple, poly in x.terms.items():
-        if triple_beta_count(triple) == 3:
-            out[tuple(idx for _, idx in triple)] = poly
-    return out
-
-
-_L_TERM_RE = None
-
-
-def parse_l_element(text: str, g: int) -> LElement:
-    """Parse the LElement rendering, e.g. "(x1 + x2)*a1^b1^b2 + (-2)*b1^b2^b3".
-
-    Inverse of str() on canonical elements.
-    """
-    import re
-
-    from .polyring import parse_polynomial
-
-    global _L_TERM_RE
-    if _L_TERM_RE is None:
-        _L_TERM_RE = re.compile(
-            r"\(([^()]*)\)\*([ab]\d+)\^([ab]\d+)\^([ab]\d+)")
-    text = text.strip()
-    if text == "0":
-        return LElement.zero(g)
-    out = LElement.zero(g)
-    consumed = 0
-    for m in _L_TERM_RE.finditer(text):
-        between = text[consumed:m.start()].strip()
-        if between not in ("", "+"):
-            raise PreconditionError(f"bad element text near {between!r}")
-        consumed = m.end()
-        poly = parse_polynomial(m.group(1))
-        labels = tuple((lab[0], int(lab[1:])) for lab in m.groups()[1:])
-        for _, idx in labels:
-            if not 1 <= idx <= g:
-                raise PreconditionError(f"label index {idx} out of range 1..{g}")
-        out = out + LElement.wedge_basis(g, labels, poly)
-    if text[consumed:].strip():
-        raise PreconditionError(f"trailing element text {text[consumed:]!r}")
-    return out

@@ -260,14 +260,13 @@ def delete_edge(g: MultiGraph, edge_id: str) -> MultiGraph:
     return MultiGraph(g.vertices, [x for x in g.edges if x.id != e.id])
 
 
-def subdivide_edge(g: MultiGraph, edge_id: str,
-                   new_ids: tuple[str, str] | None = None) -> MultiGraph:
+def subdivide_edge(g: MultiGraph, edge_id: str) -> MultiGraph:
     """Replace edge f = (t, h) by t -> m -> h through a fresh 2-valent vertex.
 
-    Default half ids are f+"a" and f+"b"; the new vertex id is "m"+f.
+    The half ids are f+"a" and f+"b"; the new vertex id is "m"+f.
     """
     e = g.edge(edge_id)
-    id1, id2 = new_ids if new_ids else (e.id + "a", e.id + "b")
+    id1, id2 = e.id + "a", e.id + "b"
     for nid in (id1, id2):
         if g.has_edge(nid):
             raise GraphError(f"subdivision id {nid!r} already in use")
@@ -518,6 +517,36 @@ def specialize_Q(ctx: CycleBasisContext, curve: TropicalCurve) -> list[list[int]
 # -- text and JSON formats -------------------------------------------------
 
 
+def read_input_file(path: str) -> str:
+    """The text of an input file; bytes that are not UTF-8 are a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
+
+
+def parse_json(text: str, what: str):
+    """json.loads with every failure, including integers too long to convert
+    and nesting too deep to decode, raised as ParseError("bad <what>: ...")."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad {what}: {exc.msg}", exc.lineno) from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"bad {what}: {exc}") from None
+
+
+def json_int(value) -> int:
+    """An integer field of a JSON input.  Floats, booleans and strings are
+    refused, not truncated or converted; callers report the TypeError as a
+    ParseError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _check_edge_id(eid: str, line: int | None = None) -> None:
     """Edge ids name polynomial variables, so they must read back from the
     text form x<id>; vertex ids never reach it and are not restricted."""
@@ -604,7 +633,7 @@ def graph_from_json_dict(data: dict) -> tuple[MultiGraph, dict[str, int] | None]
             edge = Edge(str(item["id"]), str(item["tail"]), str(item["head"]))
             edges.append(edge)
             if "length" in item:
-                lengths[edge.id] = int(item["length"])
+                lengths[edge.id] = json_int(item["length"])
     except KeyError as exc:
         raise ParseError(f"bad graph JSON: missing key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
@@ -621,17 +650,12 @@ def graph_from_json_dict(data: dict) -> tuple[MultiGraph, dict[str, int] | None]
 
 
 def parse_graph_json(text: str) -> tuple[MultiGraph, dict[str, int] | None]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc.msg}", exc.lineno) from None
-    return graph_from_json_dict(data)
+    return graph_from_json_dict(parse_json(text, "JSON"))
 
 
 def load_graph_file(path: str) -> tuple[MultiGraph, dict[str, int] | None]:
     """Load either the text or the JSON graph format, by sniffing."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_input_file(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return parse_graph_json(text)

@@ -1,5 +1,5 @@
-"""Exact integer linear algebra: Hermite/Smith normal forms and Diophantine
-systems with certificates.
+"""Exact integer linear algebra: the Hermite normal form, lattice bases and
+membership, and Diophantine systems with certificates.
 
 Everything here is fraction-free elimination over Python ints with explicit
 unimodular transform tracking.  The matrices that show up in practice are
@@ -67,17 +67,6 @@ class IntMatrix:
         e, c = self.entries, self.cols
         return IntMatrix(self.cols, self.rows, [x for j in range(c) for x in e[j::c]])
 
-    def matmul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by "
-                                 f"{other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other[k, j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, out)
-
     def apply(self, vec: Sequence[int]) -> list[int]:
         if len(vec) != self.cols:
             raise DimensionError(f"vector of length {len(vec)} against {self.cols} columns")
@@ -94,33 +83,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.to_rows()!r})"
-
-
-def determinant(A: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if A.rows != A.cols:
-        raise DimensionError("determinant of a non-square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    m = A.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def hermite_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -252,73 +214,3 @@ def lattice_membership(generators: Sequence[Sequence[int]],
         return False, None
     return True, result.solution
 
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, u, v) with u*a + v*b = g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def smith_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form D = U*A*V with U, V unimodular and d_i | d_{i+1}.
-
-    Diagonalizes by alternating row and column HNF passes (each pass is
-    unimodular and they stabilize quickly at this scale), then repairs the
-    divisibility chain with explicit 2x2 transforms.  Used as an independent
-    cross-check of the HNF-based Diophantine solver.
-    """
-    U = IntMatrix.identity(A.rows)
-    V = IntMatrix.identity(A.cols)
-    D = A
-    for _ in range(200):
-        H, U1 = hermite_normal_form(D)
-        U = U1.matmul(U)
-        Ht, V1 = hermite_normal_form(H.transpose())
-        V = V.matmul(V1.transpose())
-        D = Ht.transpose()
-        if _is_diagonal(D):
-            break
-    else:
-        raise RuntimeError("Smith normal form did not diagonalize")
-
-    Dr = D.to_rows()
-    Ur = U.to_rows()
-    Vr = V.to_rows()
-    rank = sum(1 for i in range(min(A.rows, A.cols)) if Dr[i][i])
-    # Repair d_i | d_{i+1}: for diag(a, b) with g = gcd, l = lcm,
-    # [[u, v], [-b/g, a/g]] * diag(a, b) * [[1, -v*b/g], [1, u*a/g]] = diag(g, l).
-    done = False
-    while not done:
-        done = True
-        for i in range(rank - 1):
-            a, b = Dr[i][i], Dr[i + 1][i + 1]
-            if b % a == 0:
-                continue
-            done = False
-            g, u, v = _xgcd(a, b)
-            lcm = a * b // g
-            Dr[i][i], Dr[i + 1][i + 1] = g, lcm
-            row_a, row_b = Ur[i], Ur[i + 1]
-            Ur[i] = [u * x + v * y for x, y in zip(row_a, row_b)]
-            Ur[i + 1] = [(-b // g) * x + (a // g) * y for x, y in zip(row_a, row_b)]
-            for r in range(A.cols):
-                ci, cj = Vr[r][i], Vr[r][i + 1]
-                Vr[r][i] = ci + cj
-                Vr[r][i + 1] = (-v * b // g) * ci + (u * a // g) * cj
-    return (IntMatrix.from_rows(Dr, cols=A.cols),
-            IntMatrix.from_rows(Ur, cols=A.rows),
-            IntMatrix.from_rows(Vr, cols=A.cols))
-
-
-def _is_diagonal(D: IntMatrix) -> bool:
-    return all(D[i, j] == 0
-               for i in range(D.rows) for j in range(D.cols) if i != j)

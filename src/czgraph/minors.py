@@ -303,8 +303,7 @@ def _connected_mult(n: int, slots: list[tuple[int, int]], mult: list[int]) -> bo
     return len({find(v) for v in range(n)}) == 1
 
 
-def enumerate_graphs(max_edges: int,
-                     genus_range: tuple[int, int | None] | None = None) -> Iterator[MultiGraph]:
+def enumerate_graphs(max_edges: int) -> Iterator[MultiGraph]:
     """All isomorphism classes of connected stable multigraphs, each once.
 
     Stable means every valence >= 3 (loops counting twice), which forces
@@ -312,14 +311,12 @@ def enumerate_graphs(max_edges: int,
     Emission order is deterministic: by vertex count, then edge count, then
     discovery order of the canonical representative.
     """
-    lo, hi = genus_range if genus_range else (0, None)
     seen: set[tuple] = set()
     max_vertices = max(1, (2 * max_edges) // 3)
     for n in range(1, max_vertices + 1):
         slots = _slot_list(n)
         for total in range(max(2, n), max_edges + 1):
-            g_val = total - n + 1
-            if g_val < max(lo, 2) or (hi is not None and g_val > hi):
+            if total - n + 1 < 2:
                 continue
             for combo in combinations_with_replacement(range(len(slots)), total):
                 mult = [0] * len(slots)

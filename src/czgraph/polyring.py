@@ -34,11 +34,13 @@ def idkey(name: str) -> tuple:
 
     Digit runs compare numerically, so "2" < "2a" < "10".  Subdivision ids
     like "2a", "2b" therefore slot in right after their parent edge "2".
+    A digit run keeps its text as a tie-break, so "01" < "1": equal keys
+    mean equal ids, and the order is total.
     """
     parts = []
     for run in _RUN_RE.findall(str(name)):
         if run.isdigit():
-            parts.append((0, int(run), ""))
+            parts.append((0, int(run), run))
         else:
             parts.append((1, 0, run))
     return tuple(parts)

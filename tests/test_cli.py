@@ -1,11 +1,16 @@
+import contextlib
+import copy
+import io
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from czgraph.ceresa import V_TAU_K4, k4_graph, l3_graph
 from czgraph.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_PARSE,
                          EXIT_PRECONDITION, main, run_command, verify_theorem)
-from czgraph.graph import render_graph_text, subdivide_edge
+from czgraph.graph import graph_to_json_dict, render_graph_text, subdivide_edge
 
 K4_TEXT = render_graph_text(k4_graph())
 L3_TEXT = render_graph_text(l3_graph())
@@ -243,3 +248,130 @@ def test_exit_code_walk_without_accepted_step(tmp_path, capsys, monkeypatch):
     assert main(["minor", str(path), "--pattern", "K4"]) == EXIT_INVARIANT
     err = capsys.readouterr().err
     assert err.startswith("internal invariant failure:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("graph, cocycle, extra", [
+    ("fixtures/k4.txt", None, ["--mode", "diophantine"]),
+    ("fixtures/k4.txt", None, ["--mode", "psi"]),
+    ("fixtures/k4.txt", None, ["--lengths", "1,1,1,1,1,1"]),
+    ("tests/golden/inputs/pool-g4-0.txt", "tests/golden/inputs/pool-g4-0-trivial.json", []),
+    ("tests/golden/inputs/pool-g4-0-curve.txt", "tests/golden/inputs/pool-g4-0-trivial.json", []),
+], ids=["graph", "graph-psi", "curve", "pool-graph", "pool-curve"])
+def test_cz_test_computes_the_class_once(tmp_path, monkeypatch, capsys,
+                                         graph, cocycle, extra):
+    """The verdict and the reported class share one image1_coeffs call."""
+    import czgraph.ceresa as ceresa
+    root = Path(__file__).resolve().parent.parent
+    if cocycle is None:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(V_TAU_K4.to_json_dict()))
+    else:
+        path = root / cocycle
+    real, calls = ceresa.image1_coeffs, []
+    monkeypatch.setattr(ceresa, "image1_coeffs",
+                        lambda *args: calls.append(1) or real(*args))
+    for _ in range(2):
+        calls.clear()
+        report = run_json(capsys, ["cz-test", str(root / graph),
+                                   "--cocycle", str(path)] + extra)
+        assert report["result"]["class"] and len(calls) == 1
+
+
+# -- parse boundaries ---------------------------------------------------------
+
+K4_FIXTURE = str(Path(__file__).resolve().parent.parent / "fixtures" / "k4.txt")
+COCYCLE_OK = V_TAU_K4.to_json_dict()
+GRAPH_JSON_OK = graph_to_json_dict(k4_graph(), {str(i): i for i in range(1, 7)})
+
+
+def _run_on_file(path: Path, data: bytes, argv: list[str]) -> tuple[int, str]:
+    """Write `data` to `path`, run the CLI, return (exit code, stderr)."""
+    path.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _graph_argv(path: Path) -> list[str]:
+    return ["qmatrix", str(path)]
+
+
+def _cocycle_argv(path: Path) -> list[str]:
+    return ["cz-test", K4_FIXTURE, "--cocycle", str(path)]
+
+
+@pytest.mark.parametrize("argv, data", [
+    (_graph_argv, b'{"edges": [{"id": "1", "tail": "1", "head": "1", "length": 1e400}]}'),
+    (_graph_argv, b'{"edges": [{"id": "1", "tail": "1", "head": "1", "length": 2.5}]}'),
+    (_graph_argv, b'{"edges": [{"id": "1", "tail": "1", "head": "1", "length": true}]}'),
+    (_cocycle_argv, json.dumps(COCYCLE_OK).replace('"i": 1,', '"i": 1e400,', 1).encode()),
+    (_graph_argv, b"\xff\xfe"),
+    (_cocycle_argv, b"\xff\xfe"),
+], ids=["graph-length-1e400", "graph-length-float", "graph-length-bool",
+        "cocycle-index-1e400", "graph-not-utf8", "cocycle-not-utf8"])
+def test_exit_code_malformed_numbers_and_bytes(tmp_path, argv, data):
+    code, err = _run_on_file(tmp_path / "input", data, argv(tmp_path / "input"))
+    assert code == EXIT_PARSE
+    assert err.startswith("parse error:") and err.count("\n") == 1
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+_TOKENS = st.sampled_from(["v", "e", "1", "2", "3", "01", "a", "-1", "0", "2.5",
+                           "9" * 30, "#", "e-1", "{"])
+
+
+def _paths(doc, path=()):
+    """Every position in a JSON document, the root included."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    out = [path]
+    for key, value in items:
+        out += _paths(value, path + (key,))
+    return out
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _mutated(doc):
+    """A valid document with one position replaced by an arbitrary value."""
+    return st.builds(lambda path, value: json.dumps(_replaced(doc, path, value)).encode(),
+                     st.sampled_from(_paths(doc)), _JSON_VALUES)
+
+
+_GRAPH_BYTES = st.one_of(
+    st.binary(max_size=48),
+    st.lists(st.lists(_TOKENS, max_size=6).map(" ".join), max_size=8)
+    .map(lambda lines: "\n".join(lines).encode()),
+    _mutated(GRAPH_JSON_OK))
+_COCYCLE_BYTES = st.one_of(st.binary(max_size=48), _mutated(COCYCLE_OK))
+_EXIT_CODES = {EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_INVARIANT}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_GRAPH_BYTES)
+def test_any_graph_file_ends_in_a_documented_exit_code(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "graph"
+    code, err = _run_on_file(path, data, _graph_argv(path))
+    assert code in _EXIT_CODES and err.count("\n") <= 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_COCYCLE_BYTES)
+def test_any_cocycle_file_ends_in_a_documented_exit_code(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "cocycle.json"
+    code, err = _run_on_file(path, data, _cocycle_argv(path))
+    assert code in _EXIT_CODES and err.count("\n") <= 1

@@ -10,11 +10,12 @@ from czgraph.graph import (Edge, GraphError, MultiGraph, ParseError,
                            is_bridge, parse_graph_text, render_graph_text,
                            specialize_Q, stabilize, subdivide_edge,
                            two_edge_connectivize)
-from czgraph.intlin import IntMatrix, determinant
-from czgraph.polyring import Monomial
+from czgraph.intlin import IntMatrix
+from czgraph.polyring import Monomial, idkey
 from czgraph.polyring import parse_polynomial as P
 
 from conftest import random_multigraph, random_spanning_tree
+from lin_oracles import determinant
 
 
 def q_strings(ctx):
@@ -329,3 +330,16 @@ def test_edge_ids_survive_render_and_parse():
             for entry in row:
                 assert P(str(entry)) == entry
     assert accepted > 50 and refused > 50
+
+
+def test_ids_equal_as_numbers_keep_one_order():
+    """Ids such as "01" and "1" have one fixed order, so products of Q
+    entries and graphs do not depend on the order of factors or edges."""
+    edges = [("1", "1", "2"), ("01", "1", "2"), ("2", "1", "2"), ("3", "1", "2")]
+    g = MultiGraph(["1", "2"], edges)
+    assert MultiGraph(["1", "2"], edges[::-1]) == g
+    Q = build_cycle_context(g).Q
+    assert Q[0][0] * Q[1][1] == Q[1][1] * Q[0][0]
+    assert str(Q[0][0] * Q[1][1]) == str(Q[1][1] * Q[0][0])
+    assert sorted(["1", "01", "001", "1a", "01a"], key=idkey) == \
+        ["001", "01", "01a", "1", "1a"]
