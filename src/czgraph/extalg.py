@@ -530,4 +530,3 @@ def aab_to_l_element(g: int,
         out = out + LElement.wedge_basis(g, (alpha(i), alpha(j), beta(k)),
                                          IntPolynomial.coerce(poly))
     return out
-

@@ -213,4 +213,3 @@ def lattice_membership(generators: Sequence[Sequence[int]],
     if not result.feasible:
         return False, None
     return True, result.solution
-

@@ -12,6 +12,7 @@ from czgraph.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_PARSE,
                          EXIT_PRECONDITION, main, run_command, verify_theorem)
 from czgraph.graph import graph_to_json_dict, render_graph_text, subdivide_edge
 
+ROOT = Path(__file__).resolve().parent.parent
 K4_TEXT = render_graph_text(k4_graph())
 L3_TEXT = render_graph_text(l3_graph())
 
@@ -261,25 +262,24 @@ def test_cz_test_computes_the_class_once(tmp_path, monkeypatch, capsys,
                                          graph, cocycle, extra):
     """The verdict and the reported class share one image1_coeffs call."""
     import czgraph.ceresa as ceresa
-    root = Path(__file__).resolve().parent.parent
     if cocycle is None:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(V_TAU_K4.to_json_dict()))
     else:
-        path = root / cocycle
+        path = ROOT / cocycle
     real, calls = ceresa.image1_coeffs, []
     monkeypatch.setattr(ceresa, "image1_coeffs",
                         lambda *args: calls.append(1) or real(*args))
     for _ in range(2):
         calls.clear()
-        report = run_json(capsys, ["cz-test", str(root / graph),
+        report = run_json(capsys, ["cz-test", str(ROOT / graph),
                                    "--cocycle", str(path)] + extra)
         assert report["result"]["class"] and len(calls) == 1
 
 
 # -- parse boundaries ---------------------------------------------------------
 
-K4_FIXTURE = str(Path(__file__).resolve().parent.parent / "fixtures" / "k4.txt")
+K4_FIXTURE = str(ROOT / "fixtures" / "k4.txt")
 COCYCLE_OK = V_TAU_K4.to_json_dict()
 GRAPH_JSON_OK = graph_to_json_dict(k4_graph(), {str(i): i for i in range(1, 7)})
 
