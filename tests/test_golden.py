@@ -5,9 +5,10 @@ inputs, byte for byte.
 The trivial inputs (`tests/golden/inputs/pool-*`) are a g=3, a g=4 and a
 g=5 member of the benchmark's cz pool with the cocycle that is the a^b^b
 part of (delta_G - I) applied to a small integer a^a^b element, so their
-graph- and curve-level verdicts carry a nonzero certificate `a`.  The
-`classify` inputs add a 6-rung ladder (K4-minor-free, the memoized L3
-search), the Petersen graph and a K4 with every edge subdivided.
+graph-level verdicts in both modes and their curve-level verdicts carry a
+nonzero certificate `a`.  The `classify` inputs add a 6-rung ladder
+(K4-minor-free, the memoized L3 search), the Petersen graph and a K4 with
+every edge subdivided.
 
 Input paths are written into the report's inputs, so each is normalized to
 its path relative to the repository root before the comparison.  To
@@ -61,6 +62,8 @@ def _cases() -> dict[str, list[str]]:
         cocycle = f"{stem}-trivial.json"
         cases[f"{name}-trivial-cz-test-diophantine"] = [
             "cz-test", f"{stem}.txt", "--cocycle", cocycle]
+        cases[f"{name}-trivial-cz-test-psi"] = [
+            "cz-test", f"{stem}.txt", "--cocycle", cocycle, "--mode", "psi"]
         cases[f"{name}-trivial-cz-test-curve"] = [
             "cz-test", f"{stem}-curve.txt", "--cocycle", cocycle]
         cases[f"{name}-lattice"] = ["lattice", f"{stem}-curve.txt"]
