@@ -7,7 +7,8 @@ ways: integer-linear feasibility over polynomial coefficients (Hermite normal
 form), lattice membership at integer edge lengths, and the forbidden-minor
 characterization (no K4 or L3 minor).  Reference implementations that only
 serve as cross-checks (Smith normal form, determinants, the naive minor
-search) live with the tests, in `tests/*_oracles.py`.
+search, the element-level psi map) live with the tests, in
+`tests/*_oracles.py`.
 """
 
 __version__ = "0.1.0"
@@ -23,8 +24,7 @@ from .graph import (CycleBasisContext, Edge, MultiGraph, TropicalCurve,
 from .minors import (MinorWitness, canonical_form, enumerate_graphs,
                      has_minor, is_hyperelliptic_type)
 from .extalg import (HElement, LElement, delta_G_H, delta_G_L, delta_ell_H,
-                     image1_coeffs, image2_coeffs, pairing, psi_G,
-                     wedge_with_omega)
+                     image1_coeffs, image2_coeffs, pairing)
 from .ceresa import (V_TAU_K4, V_TAU_L3, CeresaCocycle, CZClass,
                      TrivialityVerdict, classify, compute_w, image_lattice,
                      is_cz_trivial_curve, is_cz_trivial_graph,
@@ -41,7 +41,7 @@ __all__ = [
     "MinorWitness", "canonical_form", "enumerate_graphs", "has_minor",
     "is_hyperelliptic_type",
     "HElement", "LElement", "delta_G_H", "delta_G_L", "delta_ell_H",
-    "image1_coeffs", "image2_coeffs", "pairing", "psi_G", "wedge_with_omega",
+    "image1_coeffs", "image2_coeffs", "pairing",
     "V_TAU_K4", "V_TAU_L3", "CeresaCocycle", "CZClass", "TrivialityVerdict",
     "classify", "compute_w", "image_lattice", "is_cz_trivial_curve",
     "is_cz_trivial_graph", "pushforward_contract", "pushforward_subdivide",

@@ -26,6 +26,7 @@ from .graph import (GraphError, MultiGraph, ParseError, PreconditionError,
 from .intlin import DimensionError
 from .minors import (canonical_form, enumerate_graphs, has_minor,
                      is_hyperelliptic_type, single_step_minors)
+from .polyring import ascii_int
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -61,7 +62,7 @@ def _parse_lengths(csv: str, graph: MultiGraph) -> dict[str, int]:
         raise PreconditionError(
             f"{len(parts)} lengths given for {len(ids)} edges {ids}")
     try:
-        values = [int(p) for p in parts]
+        values = [ascii_int(p) for p in parts]
     except ValueError as exc:
         raise ParseError(f"bad length value: {exc}") from None
     return dict(zip(ids, values))
@@ -346,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-theorem",
                        help="enumerate stable graphs and self-check the "
                             "classifier and fixtures")
-    p.add_argument("--max-edges", type=int, required=True)
+    p.add_argument("--max-edges", type=ascii_int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify_theorem)
 

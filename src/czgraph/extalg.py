@@ -16,11 +16,13 @@ the fundamental cycles).  The product of all delta_e is the block-unipotent
 map sending a_j to a_j + sum_i q_ij b_i and fixing every b_j.
 
 The closed forms `image1_coeffs` and `image2_coeffs` give the top-filtration
-coefficients of (delta_G - I) and its square directly.  The element-level
-maps (`delta_G_L`, `psi_G`) run the "psi" mode of the graph-level decision.
-Routes that exist only to check the closed forms, such as reading b^b^b
-coefficients off a full element or parsing an element's text, live with
-the tests (`tests/extalg_oracles.py`).
+coefficients of (delta_G - I) and its square directly.  No decision uses
+the element-level maps (`HElement`, `LElement`, `delta_G_L`): the benchmark's
+pool builder makes its trivial cocycles with `aab_to_l_element` and
+`delta_G_minus_I_L`, and the tests check the closed forms against them.
+Routes that exist only to check the closed forms, such as `psi_G`, reading
+b^b^b coefficients off a full element or parsing an element's text, live
+with the tests (`tests/extalg_oracles.py`).
 """
 
 from __future__ import annotations
@@ -320,21 +322,6 @@ def wedge3(h1: HElement, h2: HElement, h3: HElement) -> LElement:
     return out
 
 
-def wedge_with_omega(h: HElement) -> LElement:
-    """h wedged with the symplectic 2-form sum_i a_i ^ b_i.
-
-    This is the embedding of H into L; its image is the submodule the
-    quotient L/H divides out.
-    """
-    g = h.g
-    out = LElement.zero(g)
-    for i in range(1, g + 1):
-        ai = HElement.basis(g, alpha(i))
-        bi = HElement.basis(g, beta(i))
-        out = out + wedge3(h, ai, bi)
-    return out
-
-
 # -- multitwist actions ------------------------------------------------------
 
 
@@ -389,38 +376,8 @@ def delta_G_L(ctx: CycleBasisContext, x: LElement) -> LElement:
         ctx.g, x, lambda lab: delta_G_H(ctx, HElement.basis(ctx.g, lab)))
 
 
-def delta_ell_L(ctx: CycleBasisContext, edge_id: str, x: LElement,
-                inverse: bool = False) -> LElement:
-    """Third exterior power of a single edge twist."""
-    return _apply_multiplicative(
-        ctx.g, x,
-        lambda lab: delta_ell_H(ctx, edge_id, HElement.basis(ctx.g, lab), inverse))
-
-
 def delta_G_minus_I_L(ctx: CycleBasisContext, x: LElement) -> LElement:
     return delta_G_L(ctx, x) - x
-
-
-def sum_delta_e_minus_I_L(ctx: CycleBasisContext, x: LElement) -> LElement:
-    """sum over edges of (delta_e - I) acting on L.
-
-    Differs from delta_G - I in general; the two agree on H and on graded
-    pieces of L/H but not on all of L.
-    """
-    out = LElement.zero(ctx.g)
-    for e in ctx.graph.edges:
-        out = out + (delta_ell_L(ctx, e.id, x) - x)
-    return out
-
-
-def psi_G(ctx: CycleBasisContext, x: LElement) -> LElement:
-    """(delta_G - I) composed with sum_e (delta_e - I).
-
-    Kills every wedge with two or more Y labels; on a_i^a_j^b_k it doubles
-    the square of the twist action, and on a_i^a_j^a_k it produces the
-    symmetric double terms plus three times the full cube.
-    """
-    return delta_G_minus_I_L(ctx, sum_delta_e_minus_I_L(ctx, x))
 
 
 # -- closed-form images ------------------------------------------------------
@@ -488,8 +445,8 @@ def image2_coeffs(ctx: CycleBasisContext,
     Every output coefficient is even.  Agrees with applying delta_G_L twice.
     This is the reference oracle: the decisions in `ceresa` build their
     generators from the integer minor kernel instead, and use this closed
-    form, in polynomial arithmetic, to replay graph-level certificates and
-    in the "psi" mode.
+    form, in polynomial arithmetic, to replay the graph-level certificates
+    of both modes.
     """
     g = ctx.g
     if g < 3:

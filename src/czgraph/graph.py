@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .polyring import IntPolynomial, idkey, is_variable_name
+from .polyring import IntPolynomial, ascii_int, idkey, is_variable_name
 
 
 class GraphError(ValueError):
@@ -584,7 +584,7 @@ def parse_graph_text(text: str) -> tuple[MultiGraph, dict[str, int] | None]:
             edges.append(Edge(eid, tail, head))
             if len(parts) == 5:
                 try:
-                    lengths[eid] = int(parts[4])
+                    lengths[eid] = ascii_int(parts[4])
                 except ValueError:
                     raise ParseError(f"bad length {parts[4]!r}", lineno) from None
                 touched = True

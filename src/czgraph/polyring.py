@@ -316,7 +316,17 @@ class IntPolynomial:
 
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
-_TOKEN_RE = re.compile(rf"x({_NAME_RE.pattern})(?:\^(\d+))?$")
+_TOKEN_RE = re.compile(rf"x({_NAME_RE.pattern})(?:\^([0-9]+))?$")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def ascii_int(text: str) -> int:
+    """The integer written as [+-]?[0-9]+, the one integer grammar of every
+    text input.  Python's int() also reads underscores, surrounding
+    whitespace and non-ASCII digits; here they raise ValueError."""
+    if _INT_RE.fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def is_variable_name(name: str) -> bool:
@@ -353,12 +363,13 @@ def parse_polynomial(text: str) -> IntPolynomial:
             factor = factor.strip()
             if not factor:
                 raise PolynomialError(f"empty factor in term {chunk!r}")
-            if factor.lstrip("-").isdigit():
-                coeff *= int(factor)
-                continue
             m = _TOKEN_RE.match(factor)
             if not m:
-                raise PolynomialError(f"bad factor {factor!r} in {text!r}")
+                try:
+                    coeff *= ascii_int(factor)
+                except ValueError:
+                    raise PolynomialError(f"bad factor {factor!r} in {text!r}") from None
+                continue
             var, exp = m.group(1), int(m.group(2) or 1)
             exps[var] = exps.get(var, 0) + exp
         total = total + IntPolynomial({Monomial(exps): coeff})

@@ -4,6 +4,10 @@ in `czgraph.extalg` are checked against.
 These go the long way, through `LElement` arithmetic and text, and are kept
 because they are easy to trust, not because anything decides with them:
 
+* `psi_G`, with `sum_delta_e_minus_I_L` and `delta_ell_L`, and
+  `wedge_with_omega`: the maps whose closed forms fill the columns of the
+  "psi" mode's system (`czgraph.ceresa._psi_system`), applied element by
+  element;
 * `abb_to_l_element` and `bbb_coeffs`: build sum b_ijk a_i^b_j^b_k as an
   element and read back its b^b^b coefficients, so `image1_coeffs` and
   `image2_coeffs` can be compared with applying `delta_G_minus_I_L` directly;
@@ -17,8 +21,9 @@ from __future__ import annotations
 import re
 from typing import Mapping
 
-from czgraph.extalg import (HElement, LElement, alpha, beta, delta_ell_H,
-                            triple_beta_count)
+from czgraph.extalg import (HElement, LElement, _apply_multiplicative, alpha,
+                            beta, delta_G_minus_I_L, delta_ell_H,
+                            triple_beta_count, wedge3)
 from czgraph.graph import CycleBasisContext, PreconditionError
 from czgraph.polyring import IntPolynomial, parse_polynomial
 
@@ -89,3 +94,48 @@ def parse_l_element(text: str, g: int) -> LElement:
     if text[consumed:].strip():
         raise PreconditionError(f"trailing element text {text[consumed:]!r}")
     return out
+
+
+def wedge_with_omega(h: HElement) -> LElement:
+    """h wedged with the symplectic 2-form sum_i a_i ^ b_i.
+
+    This is the embedding of H into L; its image is the submodule the
+    quotient L/H divides out.
+    """
+    g = h.g
+    out = LElement.zero(g)
+    for i in range(1, g + 1):
+        ai = HElement.basis(g, alpha(i))
+        bi = HElement.basis(g, beta(i))
+        out = out + wedge3(h, ai, bi)
+    return out
+
+
+def delta_ell_L(ctx: CycleBasisContext, edge_id: str, x: LElement,
+                inverse: bool = False) -> LElement:
+    """Third exterior power of a single edge twist."""
+    return _apply_multiplicative(
+        ctx.g, x,
+        lambda lab: delta_ell_H(ctx, edge_id, HElement.basis(ctx.g, lab), inverse))
+
+
+def sum_delta_e_minus_I_L(ctx: CycleBasisContext, x: LElement) -> LElement:
+    """sum over edges of (delta_e - I) acting on L.
+
+    Differs from delta_G - I in general; the two agree on H and on graded
+    pieces of L/H but not on all of L.
+    """
+    out = LElement.zero(ctx.g)
+    for e in ctx.graph.edges:
+        out = out + (delta_ell_L(ctx, e.id, x) - x)
+    return out
+
+
+def psi_G(ctx: CycleBasisContext, x: LElement) -> LElement:
+    """(delta_G - I) composed with sum_e (delta_e - I).
+
+    Kills every wedge with two or more Y labels; on a_i^a_j^b_k it doubles
+    the square of the twist action, and on a_i^a_j^a_k it produces the
+    symmetric double terms plus three times the full cube.
+    """
+    return delta_G_minus_I_L(ctx, sum_delta_e_minus_I_L(ctx, x))

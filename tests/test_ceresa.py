@@ -4,14 +4,17 @@ import random
 import pytest
 
 from czgraph.ceresa import (V_TAU_K4, V_TAU_L3, CeresaCocycle, CZClass,
-                            _graph_system, _specialized_generators,
-                            _trivial_graph_main, classify, compute_w,
+                            _graph_system, _psi_system,
+                            _specialized_generators, _trivial_graph_main,
+                            classify, compute_w,
                             image_lattice,
                             is_cz_trivial_curve, is_cz_trivial_graph,
                             k4_context, k4_graph, l3_context, l3_graph,
                             pushforward_contract, pushforward_subdivide,
                             specialize)
-from czgraph.extalg import aab_keys, image2_coeffs, triple_indices
+from czgraph.extalg import (HElement, LElement, aab_keys, aab_to_l_element,
+                            alpha, beta, delta_G_minus_I_L, image2_coeffs,
+                            triple_indices)
 from czgraph.graph import (MultiGraph, PreconditionError, TropicalCurve,
                            build_cycle_context, genus)
 from czgraph.intlin import IntMatrix, solve_diophantine
@@ -20,6 +23,7 @@ from czgraph.polyring import parse_polynomial as P
 
 from conftest import (random_aab_map, random_abb_map, random_multigraph,
                       random_spanning_tree)
+from extalg_oracles import psi_G, wedge_with_omega
 
 NEG2X2X5 = P("-2*x2*x5")
 NEG2X5X6 = P("-2*x5*x6")
@@ -67,17 +71,33 @@ def test_psi_mode_agrees_on_fixtures():
         assert main.trivial == psi.trivial
 
 
+def _trivial_cocycle(rng, ctx):
+    """The a^b^b part of (delta_G - I) applied to an integer a^a^b element,
+    so its class is a squared-twist image: trivial by construction."""
+    a = random_aab_map(rng, ctx, density=0.2, integers=True)
+    image = delta_G_minus_I_L(ctx, aab_to_l_element(ctx.g, a))
+    return CeresaCocycle(ctx, {tuple(idx for _, idx in triple): poly
+                               for triple, poly in image.terms.items()
+                               if [kind for kind, _ in triple] == ["a", "b", "b"]})
+
+
 def test_psi_mode_agrees_on_random_cocycles():
+    """Both modes agree on random and on trivial-by-construction cocycles at
+    genus 3 to 5, and a trivial psi certificate has no a^a^a part."""
     rng = random.Random(101)
-    agree = 0
-    while agree < 12:
-        g = random_multigraph(rng, 3, max_vertices=4)
+    seen = {True: 0, False: 0}
+    for n in range(24):
+        g = random_multigraph(rng, 3 + n % 3, max_vertices=4)
         ctx = build_cycle_context(g)
-        v = CeresaCocycle(ctx, random_abb_map(rng, ctx, density=0.3))
+        v = (_trivial_cocycle(rng, ctx) if n % 2
+             else CeresaCocycle(ctx, random_abb_map(rng, ctx, density=0.3)))
         main = is_cz_trivial_graph(g, v)
         psi = is_cz_trivial_graph(g, v, mode="psi")
         assert main.trivial == psi.trivial
-        agree += 1
+        if psi.trivial:
+            assert psi.certificate["d"] == {}
+        seen[psi.trivial] += 1
+    assert all(seen.values()), seen
 
 
 def test_zero_cocycle_trivial_with_zero_witness(k4_ctx):
@@ -196,6 +216,49 @@ def test_kernel_matches_image2_oracle():
                 assert specialized[key] == [gen.get(tr, zero).evaluate(lengths)
                                             for tr in triple_indices(ctx.g)]
     assert all(seen.values()), seen
+
+
+def _terms(coeffs) -> dict:
+    """(wedge triple, Monomial) -> coefficient, from triple -> polynomial."""
+    return {(triple, m): c for triple, poly in coeffs.items()
+            for m, c in poly.terms.items()}
+
+
+def test_psi_columns_match_element_oracles():
+    """Every column of the psi-mode system against the element-level maps,
+    signs included: a against image2_coeffs, d against psi_G on a^a^a, and
+    h = (l, m) against -m (omega ^ b_l); the right-hand side against the
+    class.  Negating any one block of columns fails this test, although it
+    leaves every verdict unchanged."""
+    rng = random.Random(11)
+    for n in range(9):
+        graph = random_multigraph(rng, 3 + n % 3, max_vertices=5)
+        ctx = build_cycle_context(graph, tree_hint=random_spanning_tree(rng, graph))
+        w = compute_w(CeresaCocycle(ctx, random_abb_map(rng, ctx)))
+        keys, units, rows, rhs = _psi_system(ctx, w)
+        columns = [{} for _ in units]
+        for key, row in zip(keys, rows):
+            for col, c in enumerate(row):
+                if c:
+                    columns[col][key] = c
+        bbb = {tr: tuple(beta(x) for x in tr) for tr in triple_indices(ctx.g)}
+        omega = {l: wedge_with_omega(HElement.basis(ctx.g, beta(l)))
+                 for l in range(1, ctx.g + 1)}
+        for (kind, key), column in zip(units, columns):
+            if kind == "a":
+                image = image2_coeffs(ctx, {key: 1})
+                expect = _terms({bbb[tr]: p for tr, p in image.items()})
+            elif kind == "d":
+                aaa = LElement.wedge_basis(ctx.g, tuple(alpha(i) for i in key))
+                expect = _terms(psi_G(ctx, aaa).terms)
+            else:
+                l, m = key
+                expect = _terms(omega[l].scale(IntPolynomial({m: -1})).terms)
+            assert column == expect, (kind, key)
+        assert {key: b for key, b in zip(keys, rhs) if b} == _terms(
+            {bbb[tr]: p for tr, p in w.c.items()})
+        assert all(any(row) or b for row, b in zip(rows, rhs))
+        assert [kind for kind, _ in units] == sorted(kind for kind, _ in units)
 
 
 def test_zero_row_with_nonzero_rhs_is_infeasible():

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from czgraph.ceresa import V_TAU_K4, k4_graph, l3_graph
 from czgraph.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_PARSE,
                          EXIT_PRECONDITION, main, run_command, verify_theorem)
+from czgraph.extalg import aab_keys
 from czgraph.graph import graph_to_json_dict, render_graph_text, subdivide_edge
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -251,6 +253,28 @@ def test_exit_code_walk_without_accepted_step(tmp_path, capsys, monkeypatch):
     assert err.startswith("internal invariant failure:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("unknown", ["a", "d"])
+def test_exit_code_corrupted_psi_solution(capsys, monkeypatch, unknown):
+    """A psi-mode solution whose a part does not replay to the class, or
+    whose a^a^a part d is not zero, is an invariant failure."""
+    import czgraph.intlin as intlin
+    real = intlin.solve_diophantine
+    offset = 0 if unknown == "a" else len(aab_keys(3))
+
+    def corrupted(A, b):
+        result = real(A, b)
+        x = list(result.solution)
+        x[offset] += 1
+        return dataclasses.replace(result, solution=tuple(x))
+
+    monkeypatch.setattr(intlin, "solve_diophantine", corrupted)
+    stem = ROOT / "tests" / "golden" / "inputs" / "pool-g3-7"
+    assert main(["cz-test", f"{stem}.txt", "--cocycle", f"{stem}-trivial.json",
+                 "--mode", "psi"]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.startswith("internal invariant failure:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("graph, cocycle, extra", [
     ("fixtures/k4.txt", None, ["--mode", "diophantine"]),
     ("fixtures/k4.txt", None, ["--mode", "psi"]),
@@ -301,19 +325,55 @@ def _cocycle_argv(path: Path) -> list[str]:
     return ["cz-test", K4_FIXTURE, "--cocycle", str(path)]
 
 
-@pytest.mark.parametrize("argv, data", [
-    (_graph_argv, b'{"edges": [{"id": "1", "tail": "1", "head": "1", "length": 1e400}]}'),
-    (_graph_argv, b'{"edges": [{"id": "1", "tail": "1", "head": "1", "length": 2.5}]}'),
-    (_graph_argv, b'{"edges": [{"id": "1", "tail": "1", "head": "1", "length": true}]}'),
-    (_cocycle_argv, json.dumps(COCYCLE_OK).replace('"i": 1,', '"i": 1e400,', 1).encode()),
-    (_graph_argv, b"\xff\xfe"),
-    (_cocycle_argv, b"\xff\xfe"),
+def _lengths_argv(lengths: str):
+    return lambda path: ["lattice", str(path), "--lengths", lengths]
+
+
+def _bad_poly(poly: str) -> bytes:
+    return json.dumps(COCYCLE_OK).replace('"poly": "x2"', json.dumps({"poly": poly})[1:-1],
+                                          1).encode()
+
+
+THREE_LOOPS = b"v 1\ne 1 1 1\ne 2 1 1\ne 3 1 1\n"
+# argparse prints its usage line before the one-line error
+_USAGE = ("usage:", 2)
+
+
+@pytest.mark.parametrize("argv, data, stderr", [
+    (_graph_argv, b'{"edges": [{"id": "1", "tail": "1", "head": "1", "length": 1e400}]}', None),
+    (_graph_argv, b'{"edges": [{"id": "1", "tail": "1", "head": "1", "length": 2.5}]}', None),
+    (_graph_argv, b'{"edges": [{"id": "1", "tail": "1", "head": "1", "length": true}]}', None),
+    (_cocycle_argv, json.dumps(COCYCLE_OK).replace('"i": 1,', '"i": 1e400,', 1).encode(), None),
+    (_graph_argv, b"\xff\xfe", None),
+    (_cocycle_argv, b"\xff\xfe", None),
+    (_graph_argv, b"v 1\ne 1 1 1 1_0\ne 2 1 1 3\ne 3 1 1 1\n", None),
+    (_graph_argv, "v 1\ne 1 1 1 1\ne 2 1 1 \u0663\ne 3 1 1 1\n".encode(), None),
+    (_lengths_argv("1_0,3, +2"), THREE_LOOPS, None),
+    (_lengths_argv("1,\u0663, +2"), THREE_LOOPS, None),
+    (lambda path: ["verify-theorem", "--max-edges", " 0_6"], b"", _USAGE),
+    (_cocycle_argv, _bad_poly("\u0663*x2"), None),
+    (_cocycle_argv, _bad_poly("x2^\u0663"), None),
+    (_cocycle_argv, _bad_poly("\u00b2*x2"), None),
 ], ids=["graph-length-1e400", "graph-length-float", "graph-length-bool",
-        "cocycle-index-1e400", "graph-not-utf8", "cocycle-not-utf8"])
-def test_exit_code_malformed_numbers_and_bytes(tmp_path, argv, data):
+        "cocycle-index-1e400", "graph-not-utf8", "cocycle-not-utf8",
+        "graph-text-length-underscore", "graph-text-length-arabic-indic",
+        "lengths-underscore", "lengths-arabic-indic", "max-edges-underscore",
+        "poly-coefficient-arabic-indic", "poly-exponent-arabic-indic",
+        "poly-coefficient-superscript"])
+def test_exit_code_malformed_numbers_and_bytes(tmp_path, argv, data, stderr):
     code, err = _run_on_file(tmp_path / "input", data, argv(tmp_path / "input"))
+    prefix, lines = stderr or ("parse error:", 1)
     assert code == EXIT_PARSE
-    assert err.startswith("parse error:") and err.count("\n") == 1
+    assert err.startswith(prefix) and err.count("\n") == lines
+
+
+def test_signed_ascii_lengths_still_parse(tmp_path):
+    """The integer grammar is [+-]?[0-9]+; a space after a --lengths comma
+    is separator whitespace, not part of the number."""
+    path = tmp_path / "loops.txt"
+    path.write_bytes(b"v 1\ne 1 1 1 +1\ne 2 1 1 2\ne 3 1 1 3\n")
+    assert main(["lattice", str(path)]) == EXIT_OK
+    assert main(["lattice", str(path), "--lengths", "1, +2,3"]) == EXIT_OK
 
 
 _JSON_VALUES = st.recursive(
@@ -322,7 +382,7 @@ _JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6)
 _TOKENS = st.sampled_from(["v", "e", "1", "2", "3", "01", "a", "-1", "0", "2.5",
-                           "9" * 30, "#", "e-1", "{"])
+                           "9" * 30, "#", "e-1", "{", "1_0", "\u0663", "+2"])
 
 
 def _paths(doc, path=()):

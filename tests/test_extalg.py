@@ -5,10 +5,9 @@ import pytest
 
 from czgraph.extalg import (HElement, LElement, aab_keys, aab_to_l_element,
                             abb_keys, alpha, beta, delta_G_H, delta_G_L,
-                            delta_G_minus_I_L, delta_ell_H, delta_ell_L,
-                            image1_coeffs, image2_coeffs, label_key, pairing,
-                            psi_G, sort_triple, sum_delta_e_minus_I_L,
-                            triple_indices, wedge3, wedge_with_omega)
+                            delta_G_minus_I_L, delta_ell_H, image1_coeffs,
+                            image2_coeffs, label_key, pairing, sort_triple,
+                            triple_indices, wedge3)
 from czgraph.graph import build_cycle_context
 from czgraph.polyring import IntPolynomial
 from czgraph.polyring import parse_polynomial as P
@@ -16,7 +15,8 @@ from czgraph.polyring import parse_polynomial as P
 from conftest import (random_aab_map, random_abb_map, random_linear_form,
                       random_multigraph)
 from extalg_oracles import (abb_to_l_element, bbb_coeffs,
-                            delta_minus_I_sum_check, parse_l_element)
+                            delta_minus_I_sum_check, parse_l_element, psi_G,
+                            sum_delta_e_minus_I_L, wedge_with_omega)
 
 
 def test_pairing_values():

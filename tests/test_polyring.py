@@ -92,7 +92,8 @@ def test_parse_exponents_and_constants():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "x", "1 +", "x1**2", "y3"):
+    for bad in ("", "x", "1 +", "x1**2", "y3", "\u0663*x1", "x1^\u0663", "\u00b2*x1",
+                "1_0*x1", "x1^1_0"):
         with pytest.raises(PolynomialError):
             parse_polynomial(bad)
 
