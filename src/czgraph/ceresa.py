@@ -433,12 +433,10 @@ def _psi_system(ctx: CycleBasisContext, w: CZClass
                     triple = (("a", j), ("b", min(j, l)), ("b", max(j, l)))
                     columns.setdefault((triple, m), {})[len(units) - 1] = 1 if l < j else -1
     keys = sorted(columns, key=lambda km: (tuple(map(str, km[0])), str(mono[km[1]])))
-    rows = []
-    for key in keys:
-        row = [0] * len(units)
+    rows = [[0] * len(units) for _ in keys]
+    for row, key in zip(rows, keys):
         for col, c in columns[key].items():
             row[col] = c
-        rows.append(row)
     return ([(triple, mono[m]) for triple, m in keys], units, rows,
             [target.get(key, 0) for key in keys])
 
