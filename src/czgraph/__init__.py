@@ -23,8 +23,8 @@ from .graph import (CycleBasisContext, Edge, MultiGraph, TropicalCurve,
                     subdivide_edge)
 from .minors import (MinorWitness, canonical_form, enumerate_graphs,
                      has_minor, is_hyperelliptic_type)
-from .extalg import (HElement, LElement, delta_G_H, delta_G_L, delta_ell_H,
-                     image1_coeffs, image2_coeffs, pairing)
+from .extalg import (HElement, LElement, delta_G_H, delta_G_L, image1_coeffs,
+                     image2_coeffs, pairing)
 from .ceresa import (V_TAU_K4, V_TAU_L3, CeresaCocycle, CZClass,
                      TrivialityVerdict, classify, compute_w, image_lattice,
                      is_cz_trivial_curve, is_cz_trivial_graph,
@@ -40,8 +40,8 @@ __all__ = [
     "specialize_Q", "stabilize", "subdivide_edge",
     "MinorWitness", "canonical_form", "enumerate_graphs", "has_minor",
     "is_hyperelliptic_type",
-    "HElement", "LElement", "delta_G_H", "delta_G_L", "delta_ell_H",
-    "image1_coeffs", "image2_coeffs", "pairing",
+    "HElement", "LElement", "delta_G_H", "delta_G_L", "image1_coeffs",
+    "image2_coeffs", "pairing",
     "V_TAU_K4", "V_TAU_L3", "CeresaCocycle", "CZClass", "TrivialityVerdict",
     "classify", "compute_w", "image_lattice", "is_cz_trivial_curve",
     "is_cz_trivial_graph", "pushforward_contract", "pushforward_subdivide",

@@ -167,15 +167,6 @@ class HElement:
             raise PreconditionError("mixing HElements of different genus")
 
 
-def pair_h(x: HElement, y: HElement) -> IntPolynomial:
-    """Bilinear extension of the symplectic pairing to H elements."""
-    x._check(y)
-    total = IntPolynomial.zero()
-    for i in range(x.g):
-        total = total + x.alpha[i] * y.beta[i] - x.beta[i] * y.alpha[i]
-    return total
-
-
 class LElement:
     """Element of the third exterior power with polynomial coefficients.
 
@@ -323,23 +314,6 @@ def wedge3(h1: HElement, h2: HElement, h3: HElement) -> LElement:
 
 
 # -- multitwist actions ------------------------------------------------------
-
-
-def edge_beta_element(ctx: CycleBasisContext, edge_id: str) -> HElement:
-    """The class [e] in the b-basis: signed incidences in the cycles."""
-    signs = ctx.beta_class(edge_id)
-    g = ctx.g
-    return HElement(g, None, [IntPolynomial.constant(s) for s in signs])
-
-
-def delta_ell_H(ctx: CycleBasisContext, edge_id: str, h: HElement,
-                inverse: bool = False) -> HElement:
-    """Single-edge twist h -> h + <h, [e]> [e] x_e (minus for the inverse)."""
-    ell = edge_beta_element(ctx, edge_id)
-    factor = pair_h(h, ell) * IntPolynomial.variable(str(edge_id))
-    if inverse:
-        factor = -factor
-    return h + ell.scale(factor)
 
 
 def delta_G_H(ctx: CycleBasisContext, h: HElement) -> HElement:

@@ -5,13 +5,9 @@ K4 is the complete graph on four vertices; L3 is the triangle with every
 edge doubled ("loop of 3 loops", genus 4).  A connected graph is of
 hyperelliptic type exactly when it has neither as a minor.
 
-The search rests on an exact decision oracle.  K4 is decided by a
-series-parallel reduction: a graph has no K4 minor exactly when it is
-series-parallel (Duffin 1965).  L3 is 2-connected with every valence 4, so
-splitting the graph into blocks and stabilizing each block does not change
-whether it is a minor.  The oracle searches the single-step minors of each
-stable block of genus >= 4, pruning by genus and size and memoizing
-answers by canonical form.
+The witness walk rests on an exact decision that searches nothing.  K4 is
+decided by series-parallel reduction (a graph has no K4 minor exactly when
+it is series-parallel, Duffin 1965), and L3 block by block (`_contains`).
 
 A witness is found by a guided walk on the unreduced graph: each step scans
 the single-step minors in a fixed order and moves to the first one the
@@ -31,7 +27,7 @@ from typing import Iterator
 
 from .graph import (Edge, GraphError, InvariantError, MultiGraph,
                     PreconditionError, blocks, bridges, contract_edge,
-                    delete_edge, genus, stabilize)
+                    delete_edge, genus)
 from .polyring import idkey
 
 PATTERNS = ("K4", "L3")
@@ -207,45 +203,74 @@ class MinorWitness:
                 "delete": list(self.deletion_set)}
 
 
+# Never filled: no search is left to cache; the benchmark still reads it.
 _negative_cache: dict[tuple, bool] = {}
-_positive_cache: set[tuple] = set()
 
 
 def clear_minor_cache() -> None:
     _negative_cache.clear()
-    _positive_cache.clear()
 
 
 def _contains(g: MultiGraph, pattern: str) -> bool:
-    """Exact decision: is `pattern` a minor of g?"""
+    """Exact decision: is `pattern` a minor of g?
+
+    L3 is 2-connected, so it is a minor of g iff it is a minor of a block
+    of genus >= 4.  Such a block b is loopless, and:
+
+    * With a K4 minor, b contains L3.  K4 is cubic, so b holds a subdivided
+      K4, S, and (2-connected, genus >= 4) an S-path with distinct ends: at
+      two branch vertices; at a branch vertex and a point of an incident or
+      a disjoint edge; or at points of the same, adjacent or disjoint edges.
+      These six contract to K4 plus a parallel edge, W4, the prism or K3,3,
+      and each of those to L3.
+    * Without one, b splits into cycle nodes and bond nodes joined by
+      virtual edges (Valdes-Tarjan-Lawler 1982), and contains L3 iff some
+      cycle node has three virtual edges.  Each leads to a bond node, two
+      internally disjoint paths between its ends, so contracting the
+      cycle's arcs between three of them gives L3.  Contraction and deletion
+      keep every count <= 2: a bond node that dissolves merges the two cycle
+      nodes it joined, of counts a and b, into one of (a - 1) + (b - 1).
+      L3 has a count of 3.
+    """
     if pattern == "K4":
         return genus(g) >= 3 and has_k4_minor_fast(g)
-    return genus(g) >= 4 and any(_stable_block_contains_l3(stabilize(b))
-                                 for b in blocks(g) if genus(b) >= 4)
+    return genus(g) >= 4 and any(_block_contains_l3(b) for b in blocks(g) if genus(b) >= 4)
 
 
-def _stable_block_contains_l3(b: MultiGraph) -> bool:
-    """L3 test on a stable, loopless, 2-connected graph of genus >= 4.
+def _block_contains_l3(b: MultiGraph) -> bool:
+    """L3 test on a block of genus >= 4, by one series-parallel reduction.
 
-    L3 is 2-connected with every valence 4, so it is a minor of a graph
-    exactly when it is a minor of one of its blocks, and smoothing a
-    2-valent vertex does not change the answer.  Loops are blocks of their
-    own, so the blocks carry none.
+    An element's t counts the thick pieces (parallel steps' results) in its
+    series chain: the virtual edges it holds of its cycle node.  An edge has
+    t = 0; a series step adds.  A parallel step before the last two vertices
+    makes a bond node whose far side is the rest of b: an element with
+    t >= 2 closes a cycle node with t + 1 >= 3, else all become t = 1.  At
+    two vertices, two elements form a cycle node with t1 + t2, and more a
+    bond node.  A stalled reduction leaves minimum degree 3: a K4 minor.
     """
-    if len(b.vertices) < 3:
-        return False
-    if is_l3(b):
-        return True
-    key = canonical_form(b)
-    if key in _negative_cache:
-        return False
-    if key in _positive_cache:
-        return True
-    if any(_contains(child, "L3") for _, _, child in single_step_minors(b)):
-        _positive_cache.add(key)
-        return True
-    _negative_cache[key] = True
-    return False
+    # ts[u][v] lists the t of the elements joining u and v; ts[v][u] is the same list
+    ts: dict[str, dict[str, list[int]]] = {v: {} for v in b.vertices}
+    for e in b.edges:
+        ts[e.head][e.tail] = ts[e.tail].setdefault(e.head, [])
+        ts[e.tail][e.head].append(0)
+    todo = list(ts)
+    while len(ts) > 2:
+        if not todo:
+            return True
+        v = todo.pop()
+        for pieces in ts.get(v, {}).values():
+            if len(pieces) > 1:  # parallel step
+                if max(pieces) >= 2:
+                    return True
+                pieces[:] = [1]
+        if len(ts.get(v, {})) == 2:  # series step
+            (a, [ta]), (c, [tc]) = ts.pop(v).items()
+            del ts[a][v], ts[c][v]
+            ts[c][a] = ts[a].setdefault(c, [])
+            ts[a][c].append(ta + tc)
+            todo += (a, c)
+    (pieces,) = next(iter(ts.values())).values()
+    return sum(pieces) >= 3 if len(pieces) == 2 else max(pieces) >= 2
 
 
 def has_minor(g: MultiGraph, pattern: str) -> tuple[bool, MinorWitness | None]:

@@ -33,6 +33,52 @@ def random_multigraph(rng: random.Random, target_genus: int,
     return MultiGraph(vertices, edges)
 
 
+def from_pairs(pairs) -> MultiGraph:
+    """Graph whose edges 1, 2, ... join the given vertex pairs."""
+    return MultiGraph([], [(str(i), str(a), str(b))
+                           for i, (a, b) in enumerate(pairs, start=1)])
+
+
+def ladder(rungs: int) -> MultiGraph:
+    """Two paths u0..u(r-1) and w0..w(r-1) joined by the rungs ui-wi."""
+    rails = [(f"{s}{i}", f"{s}{i + 1}") for s in "uw" for i in range(rungs - 1)]
+    return from_pairs([(f"u{i}", f"w{i}") for i in range(rungs)] + rails)
+
+
+def thick_cycle(thick: int, length: int) -> MultiGraph:
+    """A cycle on `length` vertices whose first `thick` edges are doubled."""
+    pairs = [(i, (i + 1) % length) for i in range(length)]
+    return from_pairs(pairs + pairs[:thick])
+
+
+def random_series_parallel(rng: random.Random, target_genus: int,
+                           series_steps: int) -> MultiGraph:
+    """Random loopless 2-connected series-parallel multigraph.
+
+    From two parallel edges, `target_genus - 1` parallel steps (a copy of a
+    random edge) and `series_steps` series steps (a random edge subdivided),
+    in random order; these build every 2-connected series-parallel
+    multigraph.  Vertex names and orientations are shuffled.
+    """
+    pairs = [(0, 1), (0, 1)]
+    steps = ["parallel"] * (target_genus - 1) + ["series"] * series_steps
+    rng.shuffle(steps)
+    n = 2
+    for step in steps:
+        i = rng.randrange(len(pairs))
+        if step == "parallel":
+            pairs.append(pairs[i])
+        else:
+            a, b = pairs[i]
+            pairs[i] = (a, n)
+            pairs.append((n, b))
+            n += 1
+    names = [f"v{i}" for i in range(n)]
+    rng.shuffle(names)
+    return from_pairs([(names[a], names[b]) if rng.random() < 0.5 else (names[b], names[a])
+                       for a, b in pairs])
+
+
 def random_spanning_tree(rng: random.Random, g: MultiGraph) -> list[str]:
     """Ids of a random spanning tree: a union-find pass over shuffled edges."""
     edges = list(g.edges)

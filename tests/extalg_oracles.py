@@ -11,6 +11,8 @@ because they are easy to trust, not because anything decides with them:
 * `abb_to_l_element` and `bbb_coeffs`: build sum b_ijk a_i^b_j^b_k as an
   element and read back its b^b^b coefficients, so `image1_coeffs` and
   `image2_coeffs` can be compared with applying `delta_G_minus_I_L` directly;
+* `delta_ell_H`, with `pair_h` and `edge_beta_element`: one edge's twist
+  on H, element by element;
 * `delta_minus_I_sum_check`: the twist-splitting identity on H as an
   executable harness;
 * `parse_l_element`: the inverse of `str()` on an `LElement`.
@@ -22,10 +24,35 @@ import re
 from typing import Mapping
 
 from czgraph.extalg import (HElement, LElement, _apply_multiplicative, alpha,
-                            beta, delta_G_minus_I_L, delta_ell_H,
-                            triple_beta_count, wedge3)
+                            beta, delta_G_minus_I_L, triple_beta_count, wedge3)
 from czgraph.graph import CycleBasisContext, PreconditionError
 from czgraph.polyring import IntPolynomial, parse_polynomial
+
+
+def pair_h(x: HElement, y: HElement) -> IntPolynomial:
+    """Bilinear extension of the symplectic pairing to H elements."""
+    x._check(y)
+    total = IntPolynomial.zero()
+    for i in range(x.g):
+        total = total + x.alpha[i] * y.beta[i] - x.beta[i] * y.alpha[i]
+    return total
+
+
+def edge_beta_element(ctx: CycleBasisContext, edge_id: str) -> HElement:
+    """The class [e] in the b-basis: signed incidences in the cycles."""
+    signs = ctx.beta_class(edge_id)
+    g = ctx.g
+    return HElement(g, None, [IntPolynomial.constant(s) for s in signs])
+
+
+def delta_ell_H(ctx: CycleBasisContext, edge_id: str, h: HElement,
+                inverse: bool = False) -> HElement:
+    """Single-edge twist h -> h + <h, [e]> [e] x_e (minus for the inverse)."""
+    ell = edge_beta_element(ctx, edge_id)
+    factor = pair_h(h, ell) * IntPolynomial.variable(str(edge_id))
+    if inverse:
+        factor = -factor
+    return h + ell.scale(factor)
 
 
 def delta_minus_I_sum_check(ctx: CycleBasisContext,

@@ -16,6 +16,9 @@ the same script drives either checkout.  The inputs are
   with four edge-id styles, random spanning trees in half of them, lengths
   1..5 and sparse random cocycles: every subcommand, psi mode included;
 * a few inputs that exercise the integer grammar of the text formats;
+* classify and minor on series-parallel blocks: ladders with 5-8 rungs,
+  cycles with 1-5 doubled edges, and seeded random series-parallel
+  compositions at genus 4-8;
 * verify-theorem --max-edges 6.
 
 Input files are written to a temporary directory that is the working
@@ -39,7 +42,8 @@ from czgraph.cli import main
 from czgraph.graph import (MultiGraph, build_cycle_context, genus,
                            parse_graph_text, render_graph_text)
 
-from conftest import random_abb_map, random_multigraph, random_spanning_tree
+from conftest import (ladder, random_abb_map, random_multigraph,
+                      random_series_parallel, random_spanning_tree, thick_cycle)
 
 POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool.json"
 SEED = 20261018
@@ -147,6 +151,20 @@ def grammar_calls() -> None:
                                    write(f"poly-{n}.json", json.dumps(body))])
 
 
+def series_parallel_calls() -> None:
+    graphs = {f"ladder-{r}": ladder(r) for r in range(5, 9)}
+    graphs |= {f"thick-cycle-{k}-{n}": thick_cycle(k, n)
+               for k in range(1, 6) for n in range(max(k, 3), k + 3)}
+    rng = random.Random(SEED)
+    graphs |= {f"series-parallel-{g}-{n}": random_series_parallel(rng, g, rng.randint(2, 8))
+               for g in range(4, 9) for n in range(6)}
+    for stem, graph in graphs.items():
+        path = write(f"{stem}.txt", render_graph_text(graph))
+        call(f"{stem}/classify", ["classify", path])
+        for pattern in ("K4", "L3"):
+            call(f"{stem}/minor-{pattern}", ["minor", path, "--pattern", pattern])
+
+
 def run() -> None:
     pool = json.loads(POOL.read_text(encoding="utf-8"))
     here = os.getcwd()
@@ -156,6 +174,7 @@ def run() -> None:
             pool_calls(pool)
             random_calls()
             grammar_calls()
+            series_parallel_calls()
             call("verify-theorem-6", ["verify-theorem", "--max-edges", "6"])
         finally:
             os.chdir(here)

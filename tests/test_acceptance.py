@@ -25,8 +25,8 @@ from czgraph.ceresa import (V_TAU_K4, V_TAU_L3, CeresaCocycle, classify,
                             l3_context, l3_graph, pushforward_contract,
                             pushforward_subdivide, specialize)
 from czgraph.extalg import (aab_keys, aab_to_l_element, delta_G_H,
-                            delta_G_minus_I_L, delta_ell_H, image1_coeffs,
-                            image2_coeffs, triple_indices, HElement)
+                            delta_G_minus_I_L, image1_coeffs, image2_coeffs,
+                            triple_indices, HElement)
 from czgraph.graph import (TropicalCurve, build_cycle_context, genus,
                            specialize_Q)
 from czgraph.intlin import hnf_basis, lattice_membership

@@ -1,19 +1,26 @@
+import contextlib
+import io
 import itertools
+import json
 import random
+from collections import Counter
 
 import pytest
 
-from czgraph.ceresa import k4_graph
+from czgraph import graph, minors
+from czgraph.ceresa import classify, k4_graph
+from czgraph.cli import EXIT_OK, main
 from czgraph.graph import (GraphError, MultiGraph, PreconditionError, blocks,
                            bridges, delete_edge, genus, is_bridge,
-                           subdivide_edge)
+                           render_graph_text, subdivide_edge)
 from czgraph.minors import (MinorWitness, canonical_form, clear_minor_cache,
                             enumerate_graphs, has_k4_minor_fast, has_minor,
                             is_hyperelliptic_type, is_k4, is_l3,
                             single_step_minors)
 
 import minor_oracles as oracles
-from conftest import random_multigraph
+from conftest import (from_pairs, ladder, random_multigraph,
+                      random_series_parallel, thick_cycle)
 
 
 def wheel5():
@@ -178,17 +185,6 @@ def relabeled(g, rng):
                               for i, e in enumerate(edges, start=1)])
 
 
-def from_pairs(pairs):
-    """Graph whose edges 1, 2, ... join the given vertex pairs."""
-    return MultiGraph([], [(str(i), str(a), str(b))
-                           for i, (a, b) in enumerate(pairs, start=1)])
-
-
-def ladder(rungs):
-    rails = [(f"{s}{i}", f"{s}{i + 1}") for s in "uw" for i in range(rungs - 1)]
-    return from_pairs([(f"u{i}", f"w{i}") for i in range(rungs)] + rails)
-
-
 def prism(n):
     """The circular ladder C_n x K_2: cubic on 2n vertices."""
     rims = [(f"{s}{i}", f"{s}{(i + 1) % n}") for s in "uw" for i in range(n)]
@@ -284,3 +280,115 @@ def test_bridges_and_blocks_match_reference():
         g = random_multigraph(rng, rng.randint(0, 5), max_vertices=8)
         assert bridges(g) == [e.id for e in g.edges if is_bridge(g, e.id)]
         assert blocks(g) == oracles.blocks(g)
+
+
+# -- the L3 decision: exact, and without search ------------------------------
+
+
+def agrees_with_dfs(g):
+    """The decision on g, after checking it against `minor_dfs`."""
+    found = minors._contains(g, "L3")
+    assert found == (oracles.minor_dfs(g, "L3") is not None), g
+    return found
+
+
+def test_l3_decision_matches_dfs_on_stable_blocks():
+    counts = Counter(agrees_with_dfs(b) for g in enumerate_graphs(7) for b in blocks(g))
+    assert counts[True] and counts[False]
+
+
+def test_l3_decision_matches_dfs_on_random_multigraphs():
+    rng = random.Random(600)
+    counts = Counter(agrees_with_dfs(random_multigraph(rng, rng.randint(3, 6),
+                                                       max_vertices=rng.randint(2, 7)))
+                     for _ in range(600))
+    assert counts[True] and counts[False]
+
+
+def test_l3_decision_matches_dfs_on_series_parallel_blocks():
+    rng = random.Random(1982)
+    counts = Counter(agrees_with_dfs(random_series_parallel(rng, g, rng.randint(2, 4)))
+                     for g in range(4, 8) for _ in range(10))
+    assert counts[True] and counts[False]
+
+
+@pytest.mark.parametrize("rungs", range(2, 9))
+def test_ladders_have_no_l3(rungs):
+    assert not has_k4_minor_fast(ladder(rungs))
+    assert has_minor(ladder(rungs), "L3") == (False, None)
+
+
+@pytest.mark.parametrize("thick", range(6))
+def test_cycle_with_thick_edges_has_l3_iff_three(thick):
+    for length in range(max(thick, 3), max(thick, 3) + 3):
+        g = thick_cycle(thick, length)
+        assert agrees_with_dfs(g) == (thick >= 3)
+
+
+def test_theta_with_one_thick_edge_per_arc_has_no_l3():
+    arcs = [[("s", "a"), ("a", "b"), ("a", "b"), ("b", "t")],
+            [("s", "c"), ("c", "c2"), ("c", "c2"), ("c2", "d"), ("d", "t")],
+            [("s", "e"), ("s", "e"), ("e", "t")]]
+    g = from_pairs(pair for arc in arcs for pair in arc)
+    assert genus(g) == 5
+    assert not agrees_with_dfs(g)
+
+
+K4_PAIRS = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+
+
+def k4_with_ear(subdivide, ear):
+    """K4 with each edge in `subdivide` split at the listed new vertices, in
+    order from its lower end, plus one edge `ear`."""
+    pairs = []
+    for a, b in K4_PAIRS:
+        path = [a, *subdivide.get((a, b), ()), b]
+        pairs += zip(path, path[1:])
+    return from_pairs(pairs + [ear])
+
+
+# The six places an S-path with distinct ends can attach to a subdivided K4.
+ONE_EAR_K4S = {
+    "two-branch-vertices": k4_with_ear({}, (1, 2)),
+    "vertex-and-incident-edge": k4_with_ear({(1, 2): ["m"]}, (1, "m")),
+    "vertex-and-disjoint-edge": k4_with_ear({(3, 4): ["m"]}, (1, "m")),
+    "same-edge": k4_with_ear({(1, 2): ["m", "n"]}, ("m", "n")),
+    "adjacent-edges": k4_with_ear({(1, 2): ["a"], (1, 3): ["b"]}, ("a", "b")),
+    "disjoint-edges": k4_with_ear({(1, 2): ["a"], (3, 4): ["b"]}, ("a", "b")),
+}
+
+
+@pytest.mark.parametrize("name", ONE_EAR_K4S)
+def test_one_ear_k4_extensions_have_l3(name):
+    g = ONE_EAR_K4S[name]
+    assert genus(g) == 4 and has_k4_minor_fast(g)
+    assert agrees_with_dfs(g)
+    found, wit = has_minor(g, "L3")
+    assert found and wit.verify(g)
+    assert wit.ops == oracles.minor_dfs(g, "L3")
+
+
+def test_l3_decision_searches_nothing(monkeypatch, tmp_path):
+    long_ladder, doubled = ladder(40), thick_cycle(20, 20)
+    calls = Counter()
+    for module, name in ((minors, "canonical_form"), (minors, "contract_edge"),
+                         (minors, "delete_edge"), (graph, "contract_edge"),
+                         (graph, "delete_edge")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    assert not minors._contains(long_ladder, "L3")
+    assert minors._contains(doubled, "L3")
+    assert not calls
+    monkeypatch.undo()
+
+    assert classify(long_ladder).trivial
+    verdict = classify(doubled)
+    assert not verdict.trivial and verdict.witness.pattern == "L3"
+    assert verdict.witness.verify(doubled)
+    path = tmp_path / "ladder40.txt"
+    path.write_text(render_graph_text(long_ladder), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["classify", str(path), "--json"]) == EXIT_OK
+    assert json.loads(out.getvalue())["result"]["trivial"] is True
