@@ -7,8 +7,8 @@ ways: integer-linear feasibility over polynomial coefficients (Hermite normal
 form), lattice membership at integer edge lengths, and the forbidden-minor
 characterization (no K4 or L3 minor).  Reference implementations that only
 serve as cross-checks (Smith normal form, determinants, the naive minor
-search, the element-level psi map) live with the tests, in
-`tests/*_oracles.py`.
+search, the graph-level psi system and the element-level psi map) live
+with the tests, in `tests/*_oracles.py`.
 """
 
 __version__ = "0.1.0"

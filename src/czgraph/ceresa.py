@@ -8,8 +8,7 @@ of the class is decided two ways:
 * graph level: integer feasibility of the system expressing the class as
   (delta_G - I)^2 of an integer combination of a_i^a_j^b_k wedges, obtained
   by equating coefficients of every quadratic monomial (method
-  "graph-diophantine"; a "psi" mode builds the larger system that also
-  admits a^a^a unknowns modulo the embedded copy of H, and must agree);
+  "graph-diophantine");
 * curve level: after evaluating at edge lengths, membership of the
   specialized class in the integer image lattice (method "curve-lattice").
 
@@ -23,11 +22,8 @@ level evaluates them at the edge lengths.  The graph-level system keeps only
 the equations that can constrain it: one whose generator row and right-hand
 side are both zero is a zero column of A^T, which the Hermite form never
 pivots on, so the solution and certificate are the same as the full
-system's.  The "psi" mode fills its larger system from closed forms over
-the same minors and the linear entries of Q (`_psi_system`), so no
-decision does element-level arithmetic in the third exterior power.
-`extalg.image2_coeffs` stays the independent reference oracle that replays
-every trivial graph-level verdict, in both modes.
+system's.  `extalg.image2_coeffs` stays the independent reference oracle
+that replays every trivial graph-level verdict.
 
 The minor-theoretic classifier ("minor-theorem") decides triviality of the
 graph itself: trivial exactly when there is no K4 or L3 minor.
@@ -37,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -53,7 +48,7 @@ from .graph import (CycleBasisContext, InvariantError, MultiGraph,
                     subdivide_edge)
 from .minors import (MinorWitness, has_k4_minor_fast, has_minor,
                      is_hyperelliptic_type)
-from .polyring import IntPolynomial, Monomial, parse_polynomial
+from .polyring import IntPolynomial, parse_polynomial
 
 
 @dataclass(frozen=True)
@@ -311,35 +306,25 @@ def _graph_system(ctx: CycleBasisContext, w: CZClass
 # -- graph-level decision ----------------------------------------------------
 
 
-def is_cz_trivial_graph(G: MultiGraph, v: CeresaCocycle,
-                        mode: str = "diophantine") -> TrivialityVerdict:
+def is_cz_trivial_graph(G: MultiGraph, v: CeresaCocycle) -> TrivialityVerdict:
     """Graph-level triviality: is the class of v an integer combination of
     squared-twist images of a_i^a_j^b_k wedges?
 
-    Builds one linear equation per (triple, quadratic monomial) pair and
-    decides exact integer feasibility.  mode="psi" runs the larger system
-    that also admits a^a^a generators modulo the embedded H, built from the
-    same minors; the two modes provably agree for classes in the top
-    filtration, and the psi mode is kept as an executable cross-check.
-    Trivial verdicts of both modes are replayed through `image2_coeffs`.
+    Builds one linear equation per (triple, quadratic monomial) pair
+    (`_graph_system`) and decides exact integer feasibility.  A trivial
+    verdict is replayed through `image2_coeffs`.  The larger "psi" system,
+    which also admits a^a^a generators modulo the embedded H, provably
+    agrees for classes in the top filtration; it is kept with the tests as
+    an oracle (`tests/ceresa_oracles.py`).
     """
     if v.context.graph != G:
         raise PreconditionError("cocycle context does not match the graph")
     ctx = v.context
-    g = ctx.g
     w = compute_w(v)
-    if g < 3:
+    if ctx.g < 3:
         # the top filtration stage vanishes, so every class is trivial
         return TrivialityVerdict(True, "graph-diophantine", certificate={"a": {}},
                                  note="genus < 3: top filtration stage is zero")
-    if mode == "diophantine":
-        return _trivial_graph_main(ctx, w)
-    if mode == "psi":
-        return _trivial_graph_psi(ctx, w)
-    raise PreconditionError(f"unknown mode {mode!r}")
-
-
-def _trivial_graph_main(ctx: CycleBasisContext, w: CZClass) -> TrivialityVerdict:
     units = aab_keys(ctx.g)
     n_equations, rows, rhs = _graph_system(ctx, w)
     result = intlin.solve_diophantine(intlin.IntMatrix.from_rows(rows, cols=len(units)), rhs)
@@ -349,127 +334,9 @@ def _trivial_graph_main(ctx: CycleBasisContext, w: CZClass) -> TrivialityVerdict
             certificate={"infeasible": True, "unknowns": len(units),
                          "equations": n_equations})
     a = {key: coeff for key, coeff in zip(units, result.solution) if coeff}
-    _replay_graph_certificate(ctx, a, w)
-    return TrivialityVerdict(True, "graph-diophantine", certificate={"a": a})
-
-
-def _replay_graph_certificate(ctx: CycleBasisContext,
-                              a: dict[tuple[int, int, int], int],
-                              w: CZClass) -> None:
-    image = image2_coeffs(ctx, a)
-    target = dict(w.c)
-    if image != target:
+    if image2_coeffs(ctx, a) != dict(w.c):
         raise InvariantError("graph-level witness does not replay to the class")
-
-
-def _psi_system(ctx: CycleBasisContext, w: CZClass
-                ) -> tuple[list[tuple], list[tuple], list[list[int]], list[int]]:
-    """The psi-mode system: its equations as sorted (wedge triple, Monomial)
-    keys, its unknowns, the A rows and the right-hand sides.
-
-    The unknowns are ("a", (i, j, k)) in aab_keys order, ("d", (i, j, k))
-    for i < j < k, and ("h", (l, m)) for each l and each quadratic monomial
-    m in Monomial order.  Each column is a closed form over Q.  With
-    Qa_i = sum_r q_ri b_r and M the 2x2 minors of `_q_minors`:
-
-    * a: the squared twist of a_i^a_j^b_k, the entries `_graph_system` uses;
-    * d: psi_G(a_i^a_j^a_k) = 2(Qa_i^Qa_j^a_k + Qa_i^a_j^Qa_k + a_i^Qa_j^Qa_k)
-      + 3 Qa_i^Qa_j^Qa_k, which is +2 M(r, s; i, j) on a_k^b_r^b_s,
-      -2 M(r, s; i, k) on a_j^b_r^b_s, +2 M(r, s; j, k) on a_i^b_r^b_s and
-      3 det Q[r, s, t; i, j, k] on b_r^b_s^b_t (expanded along row r);
-    * h: -m (omega ^ b_l), where omega ^ b_l = sum_{j != l} b_l^a_j^b_j, so
-      +1 on (a_j^b_l^b_j, m) for l < j and -1 on (a_j^b_j^b_l, m) for l > j.
-
-    The equations are the (triple, monomial) pairs that some column or the
-    class reaches, sorted by the text of the labels and then of the
-    monomial.  That order and the order of the unknowns fix the Hermite
-    form's row swaps, and so the certificate.
-    """
-    g = ctx.g
-    ids = [e.id for e in ctx.graph.edges]
-    pos = {e: n for n, e in enumerate(ids)}
-    lin = [[_positions(q, pos) for q in row] for row in ctx.Q]
-    minors = _q_minors(ctx)
-    pairs = list(combinations(range(1, g + 1), 2))
-    index = {p: n for n, p in enumerate(pairs)}
-
-    def minor(r, s, i, j):
-        return minors[index[r, s] * len(pairs) + index[i, j]]
-
-    triples = triple_indices(g)
-    bbb = [tuple(("b", x) for x in tr) for tr in triples]
-    units = [("a", key) for key in aab_keys(g)] + [("d", key) for key in triples]
-    columns: dict[tuple, dict[int, int]] = {}
-
-    def put(triple, form, col, factor):
-        for m, c in form.items():
-            columns.setdefault((triple, m), {})[col] = factor * c
-
-    for col, t, factor, n in _twist_pattern(g):
-        put(bbb[t], minors[n], col, factor)
-    for col, (i, j, k) in enumerate(triples, start=len(aab_keys(g))):
-        for r, s in pairs:
-            for a, other, factor in ((k, (i, j), 2), (j, (i, k), -2), (i, (j, k), 2)):
-                put((("a", a), ("b", r), ("b", s)), minor(r, s, *other), col, factor)
-        for t, (r, s, u) in enumerate(triples):
-            det: dict[tuple[int, ...], int] = {}
-            for q, other, sign in ((i, (j, k), 1), (j, (i, k), -1), (k, (i, j), 1)):
-                for (e,), cq in lin[r - 1][q - 1].items():
-                    for (x, y), cm in minor(s, u, *other).items():
-                        key = tuple(sorted((e, x, y)))
-                        det[key] = det.get(key, 0) + sign * cq * cm
-            put(bbb[t], {m: c for m, c in det.items() if c}, col, 3)
-    target = {(bbb[t], m): c for t, tr in enumerate(triples) if tr in w.c
-              for m, c in _positions(w.c[tr], pos).items()}
-    for key in target:
-        columns.setdefault(key, {})
-    mono = {m: Monomial(Counter(ids[x] for x in m)) for _, m in columns}
-    quadratic = sorted({m for _, m in columns if len(m) == 2}, key=mono.__getitem__)
-    for l in range(1, g + 1):
-        for m in quadratic:
-            units.append(("h", (l, mono[m])))
-            for j in range(1, g + 1):
-                if j != l:
-                    triple = (("a", j), ("b", min(j, l)), ("b", max(j, l)))
-                    columns.setdefault((triple, m), {})[len(units) - 1] = 1 if l < j else -1
-    keys = sorted(columns, key=lambda km: (tuple(map(str, km[0])), str(mono[km[1]])))
-    rows = [[0] * len(units) for _ in keys]
-    for row, key in zip(rows, keys):
-        for col, c in columns[key].items():
-            row[col] = c
-    return ([(triple, mono[m]) for triple, m in keys], units, rows,
-            [target.get(key, 0) for key in keys])
-
-
-def _trivial_graph_psi(ctx: CycleBasisContext, w: CZClass) -> TrivialityVerdict:
-    """Feasibility of w in psi_G(L/H) over a^a^b and a^a^a generators.
-
-    Unknowns: integers a_ijk (i<j; k) and d_ijk (i<j<k), plus the
-    coefficients of an H-element h (beta block, quadratic monomials) that
-    absorbs the two-Y-label part of psi(a^a^a) modulo H (`_psi_system`).
-    The system splits into the main system on a and a homogeneous block on
-    (d, h): a and w reach only b^b^b equations with quadratic monomials, d
-    reaches b^b^b equations with cubic monomials and a^b^b equations, and h
-    only the latter.  The Hermite form of A^T combines two rows only where
-    both are nonzero in one column, so it never mixes the blocks, and the
-    zero right-hand side of the homogeneous block gives d = 0.  Feasibility
-    therefore coincides with the main mode's.  A trivial verdict replays a
-    through `image2_coeffs`, as the main mode does, and checks that d = 0.
-    """
-    keys, units, rows, rhs = _psi_system(ctx, w)
-    result = intlin.solve_diophantine(intlin.IntMatrix.from_rows(rows, cols=len(units)), rhs)
-    if not result.feasible:
-        return TrivialityVerdict(
-            False, "graph-diophantine",
-            certificate={"infeasible": True, "mode": "psi",
-                         "unknowns": len(units), "equations": len(keys)})
-    a = {key: c for (kind, key), c in zip(units, result.solution) if kind == "a" and c}
-    d = {key: c for (kind, key), c in zip(units, result.solution) if kind == "d" and c}
-    _replay_graph_certificate(ctx, a, w)
-    if d:
-        raise InvariantError("psi-mode witness has a nonzero a^a^a part")
-    return TrivialityVerdict(True, "graph-diophantine",
-                             certificate={"a": a, "d": d, "mode": "psi"})
+    return TrivialityVerdict(True, "graph-diophantine", certificate={"a": a})
 
 
 # -- curve-level decision ----------------------------------------------------

@@ -419,8 +419,7 @@ def image2_coeffs(ctx: CycleBasisContext,
     Every output coefficient is even.  Agrees with applying delta_G_L twice.
     This is the reference oracle: the decisions in `ceresa` build their
     generators from the integer minor kernel instead, and use this closed
-    form, in polynomial arithmetic, to replay the graph-level certificates
-    of both modes.
+    form, in polynomial arithmetic, to replay the graph-level certificates.
     """
     g = ctx.g
     if g < 3:

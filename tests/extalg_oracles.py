@@ -6,8 +6,7 @@ because they are easy to trust, not because anything decides with them:
 
 * `psi_G`, with `sum_delta_e_minus_I_L` and `delta_ell_L`, and
   `wedge_with_omega`: the maps whose closed forms fill the columns of the
-  "psi" mode's system (`czgraph.ceresa._psi_system`), applied element by
-  element;
+  psi system (`ceresa_oracles.psi_system`), applied element by element;
 * `abb_to_l_element` and `bbb_coeffs`: build sum b_ijk a_i^b_j^b_k as an
   element and read back its b^b^b coefficients, so `image1_coeffs` and
   `image2_coeffs` can be compared with applying `delta_G_minus_I_L` directly;

@@ -10,11 +10,11 @@ CLI call, in a fixed order.  The czgraph package comes from PYTHONPATH, so
 the same script drives either checkout.  The inputs are
 
 * the benchmark pool (`perfbench/pool.json`, read only): for every cz input,
-  qmatrix, cz-test with both cocycles at graph level in both modes and at
-  curve level, and lattice; for every classify input, classify and minor;
+  qmatrix, cz-test with both cocycles at graph and at curve level, and
+  lattice; for every classify input, classify and minor;
 * seeded random multigraphs from `conftest.random_multigraph`, at genus 1-5,
   with four edge-id styles, random spanning trees in half of them, lengths
-  1..5 and sparse random cocycles: every subcommand, psi mode included;
+  1..5 and sparse random cocycles: every subcommand;
 * a few inputs that exercise the integer grammar of the text formats;
 * classify and minor on series-parallel blocks: ladders with 5-8 rungs,
   cycles with 1-5 doubled edges, and seeded random series-parallel
@@ -91,9 +91,8 @@ def pool_calls(pool: dict) -> None:
                         "b": [{"i": i, "j": j, "k": k, "poly": poly}
                               for i, j, k, poly in cocycle["b"]]}
                 path = write(f"{stem}-{kind}.json", json.dumps(body))
-                for mode in ("diophantine", "psi"):
-                    call(f"{stem}/cz-test-{mode}-{kind}",
-                         ["cz-test", graph, "--cocycle", path, "--mode", mode])
+                call(f"{stem}/cz-test-diophantine-{kind}",
+                     ["cz-test", graph, "--cocycle", path])
                 call(f"{stem}/cz-test-curve-{kind}", ["cz-test", curve, "--cocycle", path])
     for stratum, entries in pool["classify"].items():
         for n, entry in enumerate(entries):
@@ -129,9 +128,7 @@ def random_calls() -> None:
                 "b": [{"i": i, "j": j, "k": k, "poly": str(p)}
                       for (i, j, k), p in sorted(b.items())]}
         cocycle = write(f"{stem}-cocycle.json", json.dumps(body))
-        for mode in ("diophantine", "psi"):
-            call(f"{stem}/cz-test-{mode}", ["cz-test", path, "--cocycle", cocycle,
-                                            "--mode", mode])
+        call(f"{stem}/cz-test-diophantine", ["cz-test", path, "--cocycle", cocycle])
         call(f"{stem}/cz-test-curve", ["cz-test", curve, "--cocycle", cocycle])
 
 

@@ -36,6 +36,7 @@ from czgraph.polyring import parse_polynomial as P
 
 from conftest import (random_aab_map, random_abb_map, random_linear_form,
                       random_multigraph)
+from ceresa_oracles import solve_psi
 from extalg_oracles import abb_to_l_element, bbb_coeffs, delta_minus_I_sum_check
 
 
@@ -141,11 +142,11 @@ def test_criterion_5_graph_level_verdicts():
     checks.append(("K4 infeasible", not vk.trivial, vk.certificate))
     vl = is_cz_trivial_graph(l3_graph(), V_TAU_L3)
     checks.append(("L3 infeasible", not vl.trivial, vl.certificate))
-    vk_psi = is_cz_trivial_graph(k4_graph(), V_TAU_K4, mode="psi")
-    vl_psi = is_cz_trivial_graph(l3_graph(), V_TAU_L3, mode="psi")
+    vk_psi, _, _ = solve_psi(V_TAU_K4.context, compute_w(V_TAU_K4))
+    vl_psi, _, _ = solve_psi(V_TAU_L3.context, compute_w(V_TAU_L3))
     checks.append(("secondary mode agrees",
-                   vk_psi.trivial == vk.trivial and vl_psi.trivial == vl.trivial,
-                   (vk_psi.trivial, vl_psi.trivial)))
+                   vk_psi == vk.trivial and vl_psi == vl.trivial,
+                   (vk_psi, vl_psi)))
     _report(5, "graph-level Diophantine verdicts", checks)
 
 

@@ -4,8 +4,7 @@ import random
 import pytest
 
 from czgraph.ceresa import (V_TAU_K4, V_TAU_L3, CeresaCocycle, CZClass,
-                            _graph_system, _psi_system,
-                            _specialized_generators, _trivial_graph_main,
+                            _graph_system, _specialized_generators,
                             classify, compute_w,
                             image_lattice,
                             is_cz_trivial_curve, is_cz_trivial_graph,
@@ -23,6 +22,7 @@ from czgraph.polyring import parse_polynomial as P
 
 from conftest import (random_aab_map, random_abb_map, random_multigraph,
                       random_spanning_tree)
+from ceresa_oracles import psi_system, solve_psi
 from extalg_oracles import psi_G, wedge_with_omega
 
 NEG2X2X5 = P("-2*x2*x5")
@@ -67,8 +67,8 @@ def test_graph_verdicts_not_trivial():
 def test_psi_mode_agrees_on_fixtures():
     for graph, v in ((k4_graph(), V_TAU_K4), (l3_graph(), V_TAU_L3)):
         main = is_cz_trivial_graph(graph, v)
-        psi = is_cz_trivial_graph(graph, v, mode="psi")
-        assert main.trivial == psi.trivial
+        feasible, _, _ = solve_psi(v.context, compute_w(v))
+        assert main.trivial == feasible
 
 
 def _trivial_cocycle(rng, ctx):
@@ -82,8 +82,9 @@ def _trivial_cocycle(rng, ctx):
 
 
 def test_psi_mode_agrees_on_random_cocycles():
-    """Both modes agree on random and on trivial-by-construction cocycles at
-    genus 3 to 5, and a trivial psi certificate has no a^a^a part."""
+    """The decision and the psi oracle agree on random and on
+    trivial-by-construction cocycles at genus 3 to 5, and a psi solution
+    has no a^a^a part and an a part that replays to the class."""
     rng = random.Random(101)
     seen = {True: 0, False: 0}
     for n in range(24):
@@ -92,11 +93,13 @@ def test_psi_mode_agrees_on_random_cocycles():
         v = (_trivial_cocycle(rng, ctx) if n % 2
              else CeresaCocycle(ctx, random_abb_map(rng, ctx, density=0.3)))
         main = is_cz_trivial_graph(g, v)
-        psi = is_cz_trivial_graph(g, v, mode="psi")
-        assert main.trivial == psi.trivial
-        if psi.trivial:
-            assert psi.certificate["d"] == {}
-        seen[psi.trivial] += 1
+        w = compute_w(v)
+        feasible, a, d = solve_psi(ctx, w)
+        assert main.trivial == feasible
+        if feasible:
+            assert d == {}
+            assert image2_coeffs(ctx, a) == w.c
+        seen[feasible] += 1
     assert all(seen.values()), seen
 
 
@@ -225,7 +228,7 @@ def _terms(coeffs) -> dict:
 
 
 def test_psi_columns_match_element_oracles():
-    """Every column of the psi-mode system against the element-level maps,
+    """Every column of the psi system against the element-level maps,
     signs included: a against image2_coeffs, d against psi_G on a^a^a, and
     h = (l, m) against -m (omega ^ b_l); the right-hand side against the
     class.  Negating any one block of columns fails this test, although it
@@ -235,7 +238,7 @@ def test_psi_columns_match_element_oracles():
         graph = random_multigraph(rng, 3 + n % 3, max_vertices=5)
         ctx = build_cycle_context(graph, tree_hint=random_spanning_tree(rng, graph))
         w = compute_w(CeresaCocycle(ctx, random_abb_map(rng, ctx)))
-        keys, units, rows, rhs = _psi_system(ctx, w)
+        keys, units, rows, rhs = psi_system(ctx, w)
         columns = [{} for _ in units]
         for key, row in zip(keys, rows):
             for col, c in enumerate(row):
@@ -267,10 +270,12 @@ def test_zero_row_with_nonzero_rhs_is_infeasible():
     graph = MultiGraph(["1", "2"], [("1", "1", "1"), ("2", "1", "1"), ("3", "2", "2"),
                                     ("4", "1", "2")])
     ctx = build_cycle_context(graph)
-    w = CZClass(ctx, {(1, 2, 3): P("2*x4^2")})
+    v = CeresaCocycle(ctx, {(1, 2, 3): P("2*x4")})
+    w = compute_w(v)
+    assert w.c == {(1, 2, 3): P("2*x1*x4")}
     n_equations, rows, rhs = _graph_system(ctx, w)
     assert ([0] * len(aab_keys(3)), 2) in zip(rows, rhs)
-    verdict = _trivial_graph_main(ctx, w)
+    verdict = is_cz_trivial_graph(graph, v)
     assert not verdict.trivial
     assert verdict.certificate == {"infeasible": True, "unknowns": len(aab_keys(3)),
                                    "equations": n_equations}

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from czgraph.ceresa import V_TAU_K4, k4_graph, l3_graph
 from czgraph.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_PARSE,
                          EXIT_PRECONDITION, main, run_command, verify_theorem)
-from czgraph.extalg import aab_keys
 from czgraph.graph import graph_to_json_dict, render_graph_text, subdivide_edge
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,8 +72,7 @@ def test_cz_test_graph_level(capsys, k4_file, l3_file):
     report = run_json(capsys, ["cz-test", k4_file, "--cocycle", "builtin:K4"])
     assert report["result"]["trivial"] is False
     assert report["result"]["method"] == "graph-diophantine"
-    report = run_json(capsys, ["cz-test", l3_file, "--cocycle", "builtin:L3",
-                               "--mode", "psi"])
+    report = run_json(capsys, ["cz-test", l3_file, "--cocycle", "builtin:L3"])
     assert report["result"]["trivial"] is False
 
 
@@ -179,6 +177,16 @@ def test_exit_code_unknown_pattern(k4_file, capsys):
     assert main(["minor", k4_file, "--pattern", "K5"]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("mode", ["psi", "diophantine"])
+def test_exit_code_removed_mode_option(k4_file, capsys, mode):
+    # cz-test has one graph-level system and no --mode option any more
+    assert main(["cz-test", k4_file, "--cocycle", "builtin:K4",
+                 "--mode", mode]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "Traceback" not in err
+    assert err.endswith(f"error: unrecognized arguments: --mode {mode}\n")
+
+
 def test_run_command_programmatic(k4_file):
     report = run_command(["classify", k4_file])
     assert report.command == "classify"
@@ -253,35 +261,32 @@ def test_exit_code_walk_without_accepted_step(tmp_path, capsys, monkeypatch):
     assert err.startswith("internal invariant failure:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("unknown", ["a", "d"])
-def test_exit_code_corrupted_psi_solution(capsys, monkeypatch, unknown):
-    """A psi-mode solution whose a part does not replay to the class, or
-    whose a^a^a part d is not zero, is an invariant failure."""
+def test_exit_code_corrupted_graph_solution(capsys, monkeypatch):
+    """A graph-level solution that does not replay to the class is an
+    invariant failure."""
     import czgraph.intlin as intlin
     real = intlin.solve_diophantine
-    offset = 0 if unknown == "a" else len(aab_keys(3))
 
     def corrupted(A, b):
         result = real(A, b)
         x = list(result.solution)
-        x[offset] += 1
+        x[0] += 1
         return dataclasses.replace(result, solution=tuple(x))
 
     monkeypatch.setattr(intlin, "solve_diophantine", corrupted)
     stem = ROOT / "tests" / "golden" / "inputs" / "pool-g3-7"
-    assert main(["cz-test", f"{stem}.txt", "--cocycle", f"{stem}-trivial.json",
-                 "--mode", "psi"]) == EXIT_INVARIANT
+    assert main(["cz-test", f"{stem}.txt", "--cocycle",
+                 f"{stem}-trivial.json"]) == EXIT_INVARIANT
     err = capsys.readouterr().err
-    assert err.startswith("internal invariant failure:") and err.count("\n") == 1
+    assert err == "internal invariant failure: graph-level witness does not replay to the class\n"
 
 
 @pytest.mark.parametrize("graph, cocycle, extra", [
-    ("fixtures/k4.txt", None, ["--mode", "diophantine"]),
-    ("fixtures/k4.txt", None, ["--mode", "psi"]),
+    ("fixtures/k4.txt", None, []),
     ("fixtures/k4.txt", None, ["--lengths", "1,1,1,1,1,1"]),
     ("tests/golden/inputs/pool-g4-0.txt", "tests/golden/inputs/pool-g4-0-trivial.json", []),
     ("tests/golden/inputs/pool-g4-0-curve.txt", "tests/golden/inputs/pool-g4-0-trivial.json", []),
-], ids=["graph", "graph-psi", "curve", "pool-graph", "pool-curve"])
+], ids=["graph", "curve", "pool-graph", "pool-curve"])
 def test_cz_test_computes_the_class_once(tmp_path, monkeypatch, capsys,
                                          graph, cocycle, extra):
     """The verdict and the reported class share one image1_coeffs call."""

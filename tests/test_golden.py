@@ -5,10 +5,11 @@ inputs, byte for byte.
 The trivial inputs (`tests/golden/inputs/pool-*`) are a g=3, a g=4 and a
 g=5 member of the benchmark's cz pool with the cocycle that is the a^b^b
 part of (delta_G - I) applied to a small integer a^a^b element, so their
-graph-level verdicts in both modes and their curve-level verdicts carry a
-nonzero certificate `a`.  The `classify` inputs add a 6-rung ladder
-(K4-minor-free, the memoized L3 search), the Petersen graph and a K4 with
-every edge subdivided.
+graph-level and curve-level verdicts carry a nonzero certificate `a`.  The
+`classify` inputs add a 6-rung ladder (K4-minor-free, so L3 is decided by
+the counted series-parallel reduction), the Petersen graph and a K4 with
+every edge subdivided.  Every file in `tests/golden` belongs to a case, so
+no golden outlives the output it locks.
 
 Input paths are written into the report's inputs, so each is normalized to
 its path relative to the repository root before the comparison.  To
@@ -51,9 +52,8 @@ def _cases() -> dict[str, list[str]]:
         cases[f"{name}-classify"] = ["classify", graph]
         for pattern in ("K4", "L3"):
             cases[f"{name}-minor-{pattern}"] = ["minor", graph, "--pattern", pattern]
-        for mode in ("diophantine", "psi"):
-            cases[f"{name}-cz-test-{mode}"] = [
-                "cz-test", graph, "--cocycle", fx["cocycle"], "--mode", mode]
+        cases[f"{name}-cz-test-diophantine"] = [
+            "cz-test", graph, "--cocycle", fx["cocycle"]]
         cases[f"{name}-cz-test-curve"] = [
             "cz-test", graph, "--cocycle", fx["cocycle"], "--lengths", ONES]
         cases[f"{name}-lattice"] = ["lattice", graph, "--lengths", ONES]
@@ -62,8 +62,6 @@ def _cases() -> dict[str, list[str]]:
         cocycle = f"{stem}-trivial.json"
         cases[f"{name}-trivial-cz-test-diophantine"] = [
             "cz-test", f"{stem}.txt", "--cocycle", cocycle]
-        cases[f"{name}-trivial-cz-test-psi"] = [
-            "cz-test", f"{stem}.txt", "--cocycle", cocycle, "--mode", "psi"]
         cases[f"{name}-trivial-cz-test-curve"] = [
             "cz-test", f"{stem}-curve.txt", "--cocycle", cocycle]
         cases[f"{name}-lattice"] = ["lattice", f"{stem}-curve.txt"]
@@ -94,6 +92,10 @@ def golden_stdout(argv: list[str]) -> str:
 def test_golden_json_output(stem):
     expected = (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
     assert golden_stdout(CASES[stem]) == expected
+
+
+def test_every_golden_file_has_a_case():
+    assert {path.stem for path in GOLDEN.glob("*.json")} == set(CASES)
 
 
 if __name__ == "__main__":
