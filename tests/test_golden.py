@@ -69,6 +69,7 @@ def _cases() -> dict[str, list[str]]:
         cases[f"{name}-classify"] = ["classify", f"tests/golden/inputs/{name}.txt"]
     cases["verify-theorem-6"] = ["verify-theorem", "--max-edges", "6"]
     cases["verify-theorem-8"] = ["verify-theorem", "--max-edges", "8"]
+    cases["verify-theorem-9"] = ["verify-theorem", "--max-edges", "9"]
     return cases
 
 
