@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .graph import (Edge, GraphError, InvariantError, MultiGraph,
@@ -328,13 +327,59 @@ def _connected_mult(n: int, slots: list[tuple[int, int]], mult: list[int]) -> bo
     return len({find(v) for v in range(n)}) == 1
 
 
+def _degree_ordered(n: int, slots: list[tuple[int, int]],
+                    total: int) -> Iterator[tuple[int, ...]]:
+    """Multiplicities for `slots` with `total` edges in all whose valences
+    are >= 3 and do not increase from vertex 0 to vertex n - 1.
+
+    Depth first, slot by slot.  Row u of the slot order ends with (u, n-1),
+    and val[u] is final there.  Three prunes cut the walk: inside row u, m
+    stops rising once val[u] > val[u-1] (val[u] only grows with m); a row
+    ends only with val[u] >= 3; and no branch is taken whose vertices from u
+    on lack more valence than twice the edges left can add.  Either of the
+    last two alone keeps every yield stable; together they halve the walk.
+    """
+    mult = [0] * len(slots)
+    val = [0] * n
+
+    def walk(i: int, left: int) -> Iterator[tuple[int, ...]]:
+        u, v = slots[i]
+        if sum(max(0, 3 - x) for x in val[u:]) > 2 * left:
+            return
+        last = i + 1 == len(slots)
+        base_u, base_v = val[u], val[v]
+        for m in (left,) if last else range(left + 1):
+            val[v] = base_v + m
+            val[u] = base_u + (2 * m if u == v else m)
+            if u and val[u] > val[u - 1]:
+                break
+            if v == n - 1 and val[u] < 3:
+                continue
+            mult[i] = m
+            if last:
+                yield tuple(mult)
+            else:
+                yield from walk(i + 1, left - m)
+        mult[i] = 0
+        val[u], val[v] = base_u, base_v
+
+    yield from walk(0, total)
+
+
 def enumerate_graphs(max_edges: int) -> Iterator[MultiGraph]:
     """All isomorphism classes of connected stable multigraphs, each once.
 
     Stable means every valence >= 3 (loops counting twice), which forces
     genus >= 2; the degenerate single-vertex edgeless graph is excluded.
-    Emission order is deterministic: by vertex count, then edge count, then
-    discovery order of the canonical representative.
+
+    Orderly generation (after McKay 1998): every class has a labelling with
+    val(1) >= val(2) >= ... >= val(n), so walking only such labellings
+    (`_degree_ordered`) still reaches every class.  The walk prunes only
+    labellings that are not degree-ordered, not stable, or cannot be
+    completed; which labellings are kept is decided by the `canonical_form`
+    set alone, so exactness does not rest on the pruning.  Emission order
+    is deterministic: by vertex count, then edge count, then discovery
+    order of the canonical representative.
     """
     seen: set[tuple] = set()
     max_vertices = max(1, (2 * max_edges) // 3)
@@ -343,19 +388,7 @@ def enumerate_graphs(max_edges: int) -> Iterator[MultiGraph]:
         for total in range(max(2, n), max_edges + 1):
             if total - n + 1 < 2:
                 continue
-            for combo in combinations_with_replacement(range(len(slots)), total):
-                mult = [0] * len(slots)
-                for idx in combo:
-                    mult[idx] += 1
-                val = [0] * n
-                for (u, v), m in zip(slots, mult):
-                    if u == v:
-                        val[u] += 2 * m
-                    else:
-                        val[u] += m
-                        val[v] += m
-                if any(x < 3 for x in val):
-                    continue
+            for mult in _degree_ordered(n, slots, total):
                 if not _connected_mult(n, slots, mult):
                     continue
                 edges = []

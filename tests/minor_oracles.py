@@ -1,6 +1,6 @@
 """Reference implementations that the minor search is checked against.
 
-These are the straightforward versions of three `czgraph` functions, kept
+These are the straightforward versions of four `czgraph` functions, kept
 because they are easy to trust, not because they are fast:
 
 * `canonical_form`: minimizes the encoding over every vertex order that
@@ -9,17 +9,20 @@ because they are easy to trust, not because they are fast:
   edge's contraction before its deletion, with negative results cached by
   canonical form;
 * `blocks`: biconnected components emitted from the edge stack of a
-  lowpoint DFS.
+  lowpoint DFS;
+* `enumerate_by_slot_multisets`: `enumerate_graphs` as every multiset of
+  vertex-pair slots, kept when stable, connected and of a new class.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from typing import Iterator
 
 from czgraph.graph import (Edge, MultiGraph, contract_edge, delete_edge, genus,
                            is_bridge)
-from czgraph.minors import has_k4_minor_fast, is_k4, is_l3
+from czgraph.minors import (_connected_mult, _slot_list, has_k4_minor_fast, is_k4,
+                            is_l3)
 from czgraph.polyring import idkey
 
 _IS_PATTERN = {"K4": is_k4, "L3": is_l3}
@@ -172,3 +175,47 @@ def blocks(g: MultiGraph) -> list[MultiGraph]:
                         out.append(MultiGraph(vs, comp))
     out.sort(key=lambda b: idkey(b.edges[0].id))
     return out
+
+
+def enumerate_by_slot_multisets(max_edges: int) -> Iterator[MultiGraph]:
+    """All isomorphism classes of connected stable multigraphs, each once.
+
+    Stable means every valence >= 3 (loops counting twice), which forces
+    genus >= 2; the degenerate single-vertex edgeless graph is excluded.
+    Emission order is deterministic: by vertex count, then edge count, then
+    discovery order of the canonical representative.
+    """
+    seen: set[tuple] = set()
+    max_vertices = max(1, (2 * max_edges) // 3)
+    for n in range(1, max_vertices + 1):
+        slots = _slot_list(n)
+        for total in range(max(2, n), max_edges + 1):
+            if total - n + 1 < 2:
+                continue
+            for combo in combinations_with_replacement(range(len(slots)), total):
+                mult = [0] * len(slots)
+                for idx in combo:
+                    mult[idx] += 1
+                val = [0] * n
+                for (u, v), m in zip(slots, mult):
+                    if u == v:
+                        val[u] += 2 * m
+                    else:
+                        val[u] += m
+                        val[v] += m
+                if any(x < 3 for x in val):
+                    continue
+                if not _connected_mult(n, slots, mult):
+                    continue
+                edges = []
+                eid = 1
+                for (u, v), m in zip(slots, mult):
+                    for _ in range(m):
+                        edges.append(Edge(str(eid), str(u + 1), str(v + 1)))
+                        eid += 1
+                graph = MultiGraph({str(v + 1) for v in range(n)}, edges)
+                form = canonical_form(graph)
+                if form in seen:
+                    continue
+                seen.add(form)
+                yield graph

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from czgraph import cli, minors
 from czgraph.ceresa import V_TAU_K4, k4_graph, l3_graph
 from czgraph.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_PARSE,
                          EXIT_PRECONDITION, main, run_command, verify_theorem)
@@ -200,6 +201,24 @@ def test_verify_theorem_rejects_large_budget():
         verify_theorem(12)
 
 
+def test_verify_theorem_refuses_eleven_edges_before_enumerating(monkeypatch, capsys):
+    def unreachable(max_edges):
+        raise AssertionError("enumerate_graphs called")
+    monkeypatch.setattr(cli, "enumerate_graphs", unreachable)
+    monkeypatch.setattr(minors, "enumerate_graphs", unreachable)
+    assert main(["verify-theorem", "--max-edges", "11"]) == EXIT_PRECONDITION
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("precondition violated:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("max_edges", ["0", "-1"])
+def test_verify_theorem_below_two_edges_checks_only_the_family(capsys, max_edges):
+    report = run_json(capsys, ["verify-theorem", "--max-edges", max_edges])["result"]
+    assert report["counts"]["graphs"] == 0 and report["counts"]["family_members"] == 2
+    assert report["violations"] == [] and report["fixtures_ok"] is True
+
+
 @pytest.mark.parametrize("edges", [
     [{"id": "1", "tail": "1"}],                        # no head
     [{"id": "1", "tail": "1", "head": "1", "length": "abc"}],
@@ -340,8 +359,15 @@ def _bad_poly(poly: str) -> bytes:
 
 
 THREE_LOOPS = b"v 1\ne 1 1 1\ne 2 1 1\ne 3 1 1\n"
-# argparse prints its usage line before the one-line error
-_USAGE = ("usage:", 2)
+_USAGE = "usage"
+
+
+def assert_usage_error(err: str) -> None:
+    """argparse's usage, wrapped to the terminal width, then one error line."""
+    *usage, last = err.splitlines()
+    assert err.startswith("usage:") and err.endswith("\n") and "Traceback" not in err
+    assert last.startswith("czgraph ") and ": error: " in last
+    assert not any(": error:" in line for line in usage)
 
 
 @pytest.mark.parametrize("argv, data, stderr", [
@@ -367,9 +393,19 @@ _USAGE = ("usage:", 2)
         "poly-coefficient-superscript"])
 def test_exit_code_malformed_numbers_and_bytes(tmp_path, argv, data, stderr):
     code, err = _run_on_file(tmp_path / "input", data, argv(tmp_path / "input"))
-    prefix, lines = stderr or ("parse error:", 1)
     assert code == EXIT_PARSE
-    assert err.startswith(prefix) and err.count("\n") == lines
+    if stderr == _USAGE:
+        assert_usage_error(err)
+    else:
+        assert err.startswith("parse error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("columns", ["50", "200"])
+def test_usage_error_shape_does_not_depend_on_width(tmp_path, monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    code, err = _run_on_file(tmp_path / "input", b"", ["verify-theorem", "--max-edges", " 0_6"])
+    assert code == EXIT_PARSE
+    assert_usage_error(err)
 
 
 def test_signed_ascii_lengths_still_parse(tmp_path):

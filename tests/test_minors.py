@@ -161,6 +161,38 @@ def test_enumerate_genus_window():
         assert genus(g) == 3
 
 
+def _classes_by_size(graphs):
+    """Canonical forms, bucketed by (vertex count, edge count)."""
+    buckets: dict[tuple[int, int], set] = {}
+    for g in graphs:
+        buckets.setdefault((len(g.vertices), len(g.edges)), set()).add(canonical_form(g))
+    return buckets
+
+
+def test_enumeration_matches_slot_multiset_oracle():
+    """Every bucket at <= 7 edges holds the classes that the walk over every
+    slot multiset finds, and each graph is stable, connected, labelled 1..n
+    and degree-ordered."""
+    graphs = list(enumerate_graphs(7))
+    assert _classes_by_size(graphs) == _classes_by_size(oracles.enumerate_by_slot_multisets(7))
+    assert len({canonical_form(g) for g in graphs}) == len(graphs) == 157
+    for g in graphs:
+        labels = [str(v) for v in range(1, len(g.vertices) + 1)]
+        assert g.vertices == set(labels)
+        assert MultiGraph(labels, g.edges) == g  # raises if disconnected
+        valences = [g.valence(v) for v in labels]
+        assert valences[-1] >= 3 and valences == sorted(valences, reverse=True)
+
+
+def test_enumeration_canonicalizes_only_degree_ordered_labellings(monkeypatch):
+    calls = []
+    real = minors.canonical_form
+    monkeypatch.setattr(minors, "canonical_form", lambda g: calls.append(1) or real(g))
+    assert sum(1 for _ in enumerate_graphs(8)) == 458
+    # the walk over every slot multiset canonicalizes 6,426 labellings
+    assert len(calls) == 1213
+
+
 def test_genus_prunes_minor_search(theta):
     # pattern genus exceeds the graph's genus, no search happens
     clear_minor_cache()
