@@ -12,6 +12,14 @@ tree (`_bfs_tree`).  It checks connectivity and tests bridges, and it
 builds the single spanning tree, rooted at the least vertex id, from which
 every fundamental cycle is read by walking parent edges.
 
+Public construction validates: `MultiGraph(...)` sorts the edges, rejects
+repeated edge ids and checks connectivity.  A graph derived from a valid
+one by an operation that keeps validity skips those checks
+(`MultiGraph._derived`): `contract_edge`, `delete_edge` once its bridge
+test has passed, each block of `blocks`, the non-bridge deletions of
+`minors.single_step_minors` and the labellings of
+`minors.enumerate_graphs`.
+
 All structures are immutable values.
 """
 
@@ -20,7 +28,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .polyring import IntPolynomial, ascii_int, idkey, is_variable_name
 
@@ -64,9 +72,11 @@ class Edge(NamedTuple):
 class MultiGraph:
     """Connected multigraph; loops and parallel edges allowed.
 
-    Construction validates connectivity and edge-id uniqueness.  Vertices
-    mentioned only in `vertices` (isolated) make the graph disconnected
-    unless they are the whole graph.
+    Public construction validates connectivity and edge-id uniqueness, and
+    sorts the edges by id.  Vertices mentioned only in `vertices` (isolated)
+    make the graph disconnected unless they are the whole graph.  Graphs
+    that an operation derives from a valid graph, keeping validity, are
+    built by `_derived` without the checks.
     """
 
     __slots__ = ("vertices", "edges", "_by_id", "_incidence")
@@ -95,6 +105,17 @@ class MultiGraph:
         self._incidence = _incidence(vs, es)
         if len(_bfs_tree(self._incidence, next(iter(vs)))) != len(vs) - 1:
             raise GraphError("graph is not connected")
+
+    @classmethod
+    def _derived(cls, vertices: frozenset[str], edges: Sequence[Edge]) -> MultiGraph:
+        """A graph the caller knows to be valid: str vertices, edges sorted
+        by `idkey` with unique ids, and connected.  Nothing is checked."""
+        g = cls.__new__(cls)
+        g.vertices = vertices
+        g.edges = tuple(edges)
+        g._by_id = {e.id: e for e in g.edges}
+        g._incidence = _incidence(vertices, g.edges)
+        return g
 
     # -- basic queries ---------------------------------------------------
 
@@ -194,8 +215,8 @@ def _lowpoint_dfs(g: MultiGraph) -> _LowpointDFS:
     Iterative, so deep graphs cannot blow the recursion limit.  Every
     non-tree edge joins a vertex to one of its ancestors.
     """
-    inc = _incidence(g.vertices, [e for e in g.edges if not e.is_loop()])
-    root = g.sorted_vertices()[0]
+    inc = g._incidence
+    root = min(g.vertices, key=idkey)
     index = {root: 0}
     low = {root: 0}
     tree: dict[str, tuple[str, Edge]] = {}
@@ -205,7 +226,7 @@ def _lowpoint_dfs(g: MultiGraph) -> _LowpointDFS:
     while work:
         v, it = work[-1]
         for e in it:
-            if e.id in used:
+            if e.id in used or e.tail == e.head:
                 continue
             used.add(e.id)
             w = e.other(v)
@@ -249,7 +270,8 @@ def contract_edge(g: MultiGraph, edge_id: str) -> MultiGraph:
         t = keep if x.tail == gone else x.tail
         h = keep if x.head == gone else x.head
         new_edges.append(Edge(x.id, t, h))
-    return MultiGraph(g.vertices - {gone}, new_edges)
+    # edge order and connectivity are kept
+    return MultiGraph._derived(g.vertices - {gone}, new_edges)
 
 
 def delete_edge(g: MultiGraph, edge_id: str) -> MultiGraph:
@@ -257,7 +279,12 @@ def delete_edge(g: MultiGraph, edge_id: str) -> MultiGraph:
     e = g.edge(edge_id)
     if is_bridge(g, edge_id):
         raise PreconditionError(f"deleting bridge {edge_id!r} would disconnect the graph")
-    return MultiGraph(g.vertices, [x for x in g.edges if x.id != e.id])
+    return _without(g, e)
+
+
+def _without(g: MultiGraph, e: Edge) -> MultiGraph:
+    """g minus the edge e, which the caller knows is not a bridge."""
+    return MultiGraph._derived(g.vertices, [x for x in g.edges if x.id != e.id])
 
 
 def subdivide_edge(g: MultiGraph, edge_id: str) -> MultiGraph:
@@ -279,31 +306,38 @@ def subdivide_edge(g: MultiGraph, edge_id: str) -> MultiGraph:
     return MultiGraph(g.vertices | {mid}, new_edges)
 
 
+def block_parts(g: MultiGraph) -> list[tuple[frozenset[str], list[Edge]]]:
+    """Each block as (vertex set, edges in edge order), ordered by least
+    edge id; each loop is its own block.
+
+    A tree edge u -> v opens a new block unless the subtree below v reaches
+    above u; a back edge belongs to the block of its deeper endpoint's tree
+    edge.  Preorder labels every parent's tree edge first.  One pass in
+    edge order then lists each block's edges sorted, and meets the blocks
+    in the order of their least edges.
+    """
+    dfs = _lowpoint_dfs(g)
+    # a block is keyed by the id of the tree edge that opens it, a loop by its own
+    opener: dict[str, str] = {}  # vertex -> the block of its tree edge
+    block: dict[str, str] = {}   # non-loop edge id -> its block
+    for v, (u, e) in dfs.tree.items():
+        opener[v] = e.id if dfs.low[v] >= dfs.index[u] else opener[u]
+        block[e.id] = opener[v]
+    for v, e in dfs.back:
+        block[e.id] = opener[v]
+    comps: dict[str, list[Edge]] = {}
+    for e in g.edges:
+        comps.setdefault(e.id if e.tail == e.head else block[e.id], []).append(e)
+    return [(frozenset(v for e in es for v in (e.tail, e.head)), es)
+            for es in comps.values()]
+
+
 def blocks(g: MultiGraph) -> list[MultiGraph]:
     """Biconnected components (blocks); each loop is its own block.
 
     The genera of the blocks sum to the genus of the graph.
     """
-    out = [MultiGraph({e.tail}, [e]) for e in g.edges if e.is_loop()]
-    dfs = _lowpoint_dfs(g)
-    # a tree edge u -> v opens a new block unless the subtree below v reaches
-    # above u; a back edge belongs to the block of its deeper endpoint's
-    # tree edge.  Preorder labels every parent's tree edge first.
-    block_of: dict[str, int] = {}
-    comps: list[list[Edge]] = []
-    for v, (u, e) in dfs.tree.items():
-        if dfs.low[v] >= dfs.index[u]:
-            block_of[v] = len(comps)
-            comps.append([e])
-        else:
-            block_of[v] = block_of[u]
-            comps[block_of[u]].append(e)
-    for v, e in dfs.back:
-        comps[block_of[v]].append(e)
-    for comp in comps:
-        out.append(MultiGraph({e.tail for e in comp} | {e.head for e in comp}, comp))
-    out.sort(key=lambda b: idkey(b.edges[0].id))
-    return out
+    return [MultiGraph._derived(vs, es) for vs, es in block_parts(g)]
 
 
 def two_edge_connectivize(g: MultiGraph) -> MultiGraph:

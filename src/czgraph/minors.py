@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import (Edge, GraphError, InvariantError, MultiGraph,
-                    PreconditionError, blocks, bridges, contract_edge,
-                    delete_edge, genus)
+                    PreconditionError, _without, block_parts, bridges,
+                    contract_edge, delete_edge, genus)
 from .polyring import idkey
 
 PATTERNS = ("K4", "L3")
@@ -233,11 +233,13 @@ def _contains(g: MultiGraph, pattern: str) -> bool:
     """
     if pattern == "K4":
         return genus(g) >= 3 and has_k4_minor_fast(g)
-    return genus(g) >= 4 and any(_block_contains_l3(b) for b in blocks(g) if genus(b) >= 4)
+    return genus(g) >= 4 and any(_block_contains_l3(vs, es) for vs, es in block_parts(g)
+                                 if len(es) - len(vs) + 1 >= 4)
 
 
-def _block_contains_l3(b: MultiGraph) -> bool:
-    """L3 test on a block of genus >= 4, by one series-parallel reduction.
+def _block_contains_l3(vs: frozenset[str], es: list[Edge]) -> bool:
+    """L3 test on a block of genus >= 4, given as its vertex set and its
+    edges (a `block_parts` entry), by one series-parallel reduction.
 
     An element's t counts the thick pieces (parallel steps' results) in its
     series chain: the virtual edges it holds of its cycle node.  An edge has
@@ -248,8 +250,8 @@ def _block_contains_l3(b: MultiGraph) -> bool:
     bond node.  A stalled reduction leaves minimum degree 3: a K4 minor.
     """
     # ts[u][v] lists the t of the elements joining u and v; ts[v][u] is the same list
-    ts: dict[str, dict[str, list[int]]] = {v: {} for v in b.vertices}
-    for e in b.edges:
+    ts: dict[str, dict[str, list[int]]] = {v: {} for v in vs}
+    for e in es:
         ts[e.head][e.tail] = ts[e.tail].setdefault(e.head, [])
         ts[e.tail][e.head].append(0)
     todo = list(ts)
@@ -397,7 +399,8 @@ def enumerate_graphs(max_edges: int) -> Iterator[MultiGraph]:
                     for _ in range(m):
                         edges.append(Edge(str(eid), str(u + 1), str(v + 1)))
                         eid += 1
-                graph = MultiGraph({str(v + 1) for v in range(n)}, edges)
+                # ids 1..m rise with idkey; _connected_mult checked the rest
+                graph = MultiGraph._derived(frozenset(str(v + 1) for v in range(n)), edges)
                 form = canonical_form(graph)
                 if form in seen:
                     continue
@@ -413,4 +416,4 @@ def single_step_minors(g: MultiGraph) -> Iterator[tuple[str, str, MultiGraph]]:
         if not e.is_loop():
             yield "contract", e.id, contract_edge(g, e.id)
         if e.id not in separating:
-            yield "delete", e.id, delete_edge(g, e.id)
+            yield "delete", e.id, _without(g, e)

@@ -1,6 +1,6 @@
 """Reference implementations that the minor search is checked against.
 
-These are the straightforward versions of four `czgraph` functions, kept
+These are the straightforward versions of five `czgraph` functions, kept
 because they are easy to trust, not because they are fast:
 
 * `canonical_form`: minimizes the encoding over every vertex order that
@@ -10,6 +10,8 @@ because they are easy to trust, not because they are fast:
   canonical form;
 * `blocks`: biconnected components emitted from the edge stack of a
   lowpoint DFS;
+* `block_partition` and `separates`: the blocks' edge sets and the
+  bridges, by deleting each vertex or edge in turn and taking components;
 * `enumerate_by_slot_multisets`: `enumerate_graphs` as every multiset of
   vertex-pair slots, kept when stable, connected and of a new class.
 """
@@ -175,6 +177,43 @@ def blocks(g: MultiGraph) -> list[MultiGraph]:
                         out.append(MultiGraph(vs, comp))
     out.sort(key=lambda b: idkey(b.edges[0].id))
     return out
+
+
+def components(vertices, edges) -> dict[str, str]:
+    """Each vertex -> the least vertex (by idkey) of its component."""
+    root = {v: v for v in vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+    for e in edges:
+        a, b = sorted((find(e.tail), find(e.head)), key=idkey)
+        root[b] = a
+    return {v: find(v) for v in vertices}
+
+
+def separates(vertices, edges) -> bool:
+    """Whether the vertices fall into more than one component."""
+    return len(set(components(vertices, edges).values())) > 1
+
+
+def block_partition(g: MultiGraph) -> set[frozenset[str]]:
+    """The blocks' edge-id sets: each loop alone, and two non-loop edges
+    together iff no vertex separates them.  A vertex v separates them when,
+    in g - v, their ends other than v lie in different components."""
+    keys: dict[str, list[str]] = {e.id: [] for e in g.edges if not e.is_loop()}
+    for v in g.sorted_vertices():
+        comp = components(g.vertices - {v},
+                          [e for e in g.edges if v not in (e.tail, e.head)])
+        for e in g.edges:
+            if e.id in keys:
+                keys[e.id].append(comp[e.head if e.tail == v else e.tail])
+    parts: dict[tuple[str, ...], set[str]] = {}
+    for eid, key in keys.items():
+        parts.setdefault(tuple(key), set()).add(eid)
+    return ({frozenset(p) for p in parts.values()}
+            | {frozenset([e.id]) for e in g.edges if e.is_loop()})
 
 
 def enumerate_by_slot_multisets(max_edges: int) -> Iterator[MultiGraph]:

@@ -11,8 +11,8 @@ from czgraph import graph, minors
 from czgraph.ceresa import classify, k4_graph
 from czgraph.cli import EXIT_OK, main
 from czgraph.graph import (GraphError, MultiGraph, PreconditionError, blocks,
-                           bridges, delete_edge, genus, is_bridge,
-                           render_graph_text, subdivide_edge)
+                           bridges, contract_edge, delete_edge, genus,
+                           is_bridge, render_graph_text, subdivide_edge)
 from czgraph.minors import (MinorWitness, canonical_form, clear_minor_cache,
                             enumerate_graphs, has_k4_minor_fast, has_minor,
                             is_hyperelliptic_type, is_k4, is_l3,
@@ -312,6 +312,96 @@ def test_bridges_and_blocks_match_reference():
         g = random_multigraph(rng, rng.randint(0, 5), max_vertices=8)
         assert bridges(g) == [e.id for e in g.edges if is_bridge(g, e.id)]
         assert blocks(g) == oracles.blocks(g)
+
+
+def with_loops(rng, g, count):
+    """g plus `count` loops at random vertices, every edge renumbered at
+    random so that the loops fall between the other edges."""
+    edges = list(g.edges) + [(None, v, v) for v in rng.choices(g.sorted_vertices(), k=count)]
+    rng.shuffle(edges)
+    return MultiGraph(g.vertices, [(str(i), t, h) for i, (_, t, h) in enumerate(edges, start=1)])
+
+
+def test_blocks_and_bridges_match_brute_force_on_graphs_with_loops():
+    rng = random.Random(1515)
+    looped = 0
+    for _ in range(200):
+        g = random_multigraph(rng, rng.randint(0, 4), max_vertices=rng.randint(1, 7))
+        g = with_loops(rng, g, rng.randint(1, 3))
+        parts = blocks(g)
+        loops = [b for b in parts if b.edges[0].is_loop()]
+        assert sorted(b.edges for b in loops) == sorted((e,) for e in g.edges if e.is_loop())
+        rest = [e.id for b in parts if b not in loops for e in b.edges]
+        assert sorted(rest) == sorted(e.id for e in g.edges if not e.is_loop())
+        for b in parts:
+            for v in b.vertices:
+                assert not oracles.separates(
+                    b.vertices - {v}, [e for e in b.edges if v not in (e.tail, e.head)])
+        assert {frozenset(b.edge_ids()) for b in parts} == oracles.block_partition(g)
+        want = [e.id for e in g.edges
+                if oracles.separates(g.vertices, [x for x in g.edges if x is not e])]
+        assert bridges(g) == want == [e.id for e in g.edges if is_bridge(g, e.id)]
+        looped += len(loops) > 0 and len(g.vertices) > 1
+    assert looped
+
+
+def assert_validated_copy(g):
+    """A derived graph is exactly what public construction builds from it."""
+    copy = MultiGraph(g.vertices, g.edges)
+    assert type(g.vertices) is frozenset and type(g.edges) is tuple
+    assert g == copy, g
+    assert g._incidence == copy._incidence and g._by_id == copy._by_id, g
+
+
+def test_derived_graphs_equal_validated_copies():
+    rng = random.Random(14)
+    graphs = list(enumerate_graphs(7))
+    graphs += [random_multigraph(rng, rng.randint(0, 5), max_vertices=rng.randint(1, 7))
+               for _ in range(150)]
+    graphs += [with_loops(rng, random_multigraph(rng, rng.randint(0, 4), max_vertices=5),
+                          rng.randint(1, 3)) for _ in range(50)]
+    for g in graphs:
+        assert_validated_copy(g)
+        for b in blocks(g):
+            assert_validated_copy(b)
+        public = []
+        for e in g.edges:
+            if not e.is_loop():
+                public.append(("contract", e.id, contract_edge(g, e.id)))
+            if not is_bridge(g, e.id):
+                public.append(("delete", e.id, delete_edge(g, e.id)))
+        children = list(single_step_minors(g))
+        assert children == public
+        for _, _, child in children:
+            assert_validated_copy(child)
+
+
+def test_derived_graphs_skip_validation(monkeypatch):
+    long_ladder, doubled = ladder(40), thick_cycle(20, 20)
+    graphs = [k4_graph(), long_ladder, doubled, random_multigraph(random.Random(3), 5)]
+    calls = Counter()
+    real_init, real_derived = MultiGraph.__init__, MultiGraph._derived.__func__
+
+    def init(self, *args):
+        calls["__init__"] += 1
+        real_init(self, *args)
+
+    def derived(cls, *args):
+        calls["_derived"] += 1
+        return real_derived(cls, *args)
+    monkeypatch.setattr(MultiGraph, "__init__", init)
+    monkeypatch.setattr(MultiGraph, "_derived", classmethod(derived))
+    assert not minors._contains(long_ladder, "L3")
+    assert minors._contains(doubled, "L3")
+    assert not calls
+    for g in graphs:
+        blocks(g)
+        for e in g.edges:
+            if not e.is_loop():
+                contract_edge(g, e.id)
+            if not is_bridge(g, e.id):
+                delete_edge(g, e.id)
+    assert calls["_derived"] and not calls["__init__"]
 
 
 # -- the L3 decision: exact, and without search ------------------------------
