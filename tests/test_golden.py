@@ -6,10 +6,13 @@ The trivial inputs (`tests/golden/inputs/pool-*`) are a g=3, a g=4 and a
 g=5 member of the benchmark's cz pool with the cocycle that is the a^b^b
 part of (delta_G - I) applied to a small integer a^a^b element, so their
 graph-level and curve-level verdicts carry a nonzero certificate `a`.  The
-`classify` inputs add a 6-rung ladder (K4-minor-free, so L3 is decided by
-the counted series-parallel reduction), the Petersen graph and a K4 with
-every edge subdivided.  Every file in `tests/golden` belongs to a case, so
-no golden outlives the output it locks.
+g=4 and g=5 members also run curve-level cz-test with the pool's random
+cocycle; both verdicts are non-trivial, so their certificates pin the
+`lattice_hnf` of the image lattice.  The `classify` inputs add a 6-rung
+ladder (K4-minor-free, so L3 is decided by the counted series-parallel
+reduction), the Petersen graph and a K4 with every edge subdivided.  Every
+file in `tests/golden` belongs to a case, so no golden outlives the output
+it locks.
 
 Input paths are written into the report's inputs, so each is normalized to
 its path relative to the repository root before the comparison.  To
@@ -37,6 +40,7 @@ FIXTURES = {
     "l3": {"cocycle": "builtin:L3", "tree": "5,6"},
 }
 TRIVIAL_INPUTS = ("pool-g3-7", "pool-g4-0", "pool-g5-1")
+RANDOM_INPUTS = ("pool-g4-0", "pool-g5-1")
 CLASSIFY_INPUTS = ("ladder6", "petersen", "k4-subdivided")
 ONES = "1,1,1,1,1,1"
 
@@ -65,6 +69,10 @@ def _cases() -> dict[str, list[str]]:
         cases[f"{name}-trivial-cz-test-curve"] = [
             "cz-test", f"{stem}-curve.txt", "--cocycle", cocycle]
         cases[f"{name}-lattice"] = ["lattice", f"{stem}-curve.txt"]
+    for name in RANDOM_INPUTS:
+        stem = f"tests/golden/inputs/{name}"
+        cases[f"{name}-random-cz-test-curve"] = [
+            "cz-test", f"{stem}-curve.txt", "--cocycle", f"{stem}-random.json"]
     for name in CLASSIFY_INPUTS:
         cases[f"{name}-classify"] = ["classify", f"tests/golden/inputs/{name}.txt"]
     cases["verify-theorem-6"] = ["verify-theorem", "--max-edges", "6"]
