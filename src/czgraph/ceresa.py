@@ -11,6 +11,9 @@ of the class is decided two ways:
   "graph-diophantine");
 * curve level: after evaluating at edge lengths, membership of the
   specialized class in the integer image lattice (method "curve-lattice").
+  One `intlin.solve_diophantine` call on the evaluated generators decides
+  it, and a non-trivial verdict's `lattice_hnf` is the Hermite basis that
+  the same elimination leaves, so each verdict factors its generators once.
 
 Both levels take the squared-twist generators from one integer kernel.  The
 unit a_i^a_j^b_k reaches only the triples that contain k, where its
@@ -370,7 +373,7 @@ def image_lattice(curve: TropicalCurve,
     elif ctx.graph != curve.graph:
         raise PreconditionError("context does not match the curve's graph")
     gens = _specialized_generators(ctx, curve)
-    return intlin.hnf_basis(gens.values(), width=len(triple_indices(ctx.g)))
+    return intlin.hnf_basis(gens.values())
 
 
 def _specialized_generators(ctx: CycleBasisContext, curve: TropicalCurve
@@ -407,15 +410,14 @@ def is_cz_trivial_curve(curve: TropicalCurve, v: CeresaCocycle) -> TrivialityVer
                                  note="genus < 3: top filtration stage is zero")
     target = specialize(compute_w(v), curve)
     gens = _specialized_generators(ctx, curve)
-    units = list(gens.keys())
-    member, coeffs = intlin.lattice_membership([gens[u] for u in units], target)
-    if not member:
+    result = intlin.solve_diophantine(
+        intlin.IntMatrix.from_rows(gens.values()).transpose(), target)
+    if not result.feasible:
         return TrivialityVerdict(
             False, "curve-lattice",
             certificate={"infeasible": True, "target": target,
-                         "lattice_hnf": intlin.hnf_basis(
-                             gens.values(), width=len(target))})
-    a = {u: c for u, c in zip(units, coeffs) if c}
+                         "lattice_hnf": result.basis})
+    a = {u: c for u, c in zip(gens, result.solution) if c}
     replay = [0] * len(target)
     for u, c in a.items():
         replay = [r + c * x for r, x in zip(replay, gens[u])]

@@ -210,13 +210,14 @@ class _LowpointDFS(NamedTuple):
 
 
 def _lowpoint_dfs(g: MultiGraph) -> _LowpointDFS:
-    """One depth-first search over the non-loop edges, from the least vertex.
+    """One depth-first search over the non-loop edges, from the tail of the
+    first edge (or the only vertex of an edgeless graph).
 
     Iterative, so deep graphs cannot blow the recursion limit.  Every
     non-tree edge joins a vertex to one of its ancestors.
     """
     inc = g._incidence
-    root = min(g.vertices, key=idkey)
+    root = g.edges[0].tail if g.edges else next(iter(g.vertices))
     index = {root: 0}
     low = {root: 0}
     tree: dict[str, tuple[str, Edge]] = {}

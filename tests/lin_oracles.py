@@ -6,7 +6,9 @@ independent route to a fact the solver also establishes:
 * `determinant`: fraction-free (Bareiss) elimination, used to check that
   transforms are unimodular and that lattice indices match HNF pivots;
 * `matmul`: the product of two `IntMatrix` values, for checking H = U*A;
-* `smith_normal_form`: a second feasibility route for integer systems.
+* `smith_normal_form`: a second feasibility route for integer systems;
+* `kernel_basis`: the integer kernel of a matrix, from the transform of a
+  Hermite normal form.
 """
 
 from __future__ import annotations
@@ -24,6 +26,14 @@ def matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
         for j in range(B.cols):
             out.append(sum(ri[k] * B[k, j] for k in range(A.cols)))
     return IntMatrix(A.rows, B.cols, out)
+
+
+def kernel_basis(A: IntMatrix) -> list[list[int]]:
+    """A basis of the integer kernel of A: with H = U*A^T in Hermite form,
+    the rows of U beyond the rank of A."""
+    H, U = hermite_normal_form(A.transpose())
+    rank = sum(1 for i in range(H.rows) if any(H.row(i)))
+    return [U.row(i) for i in range(rank, U.rows)]
 
 
 def determinant(A: IntMatrix) -> int:

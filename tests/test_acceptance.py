@@ -94,7 +94,7 @@ def _direct_image_lattice(curve, ctx):
         img = bbb_coeffs(delta_G_minus_I_L(ctx, delta_G_minus_I_L(ctx, el)))
         rows.append([img[tr].evaluate(curve.lengths) if tr in img else 0
                      for tr in triples])
-    return hnf_basis(rows, width=len(triples))
+    return hnf_basis(rows)
 
 
 def test_criterion_3_k4_curve_verdicts():

@@ -166,6 +166,27 @@ def test_curve_verdict_builds_each_generator_once(monkeypatch):
     assert verdict.certificate["lattice_hnf"] == image_lattice(curve, l3_context())
 
 
+def test_curve_ops_run_one_elimination(monkeypatch):
+    """A non-trivial curve verdict factors its generators once, and
+    `image_lattice` eliminates the bare generators with no transform
+    columns."""
+    import czgraph.intlin as intlin
+    calls = []
+
+    def recorded(rows, n):
+        calls.append({len(row) - n for row in rows})
+        return real(rows, n)
+
+    real = intlin._echelon
+    monkeypatch.setattr(intlin, "_echelon", recorded)
+    curve = ones_curve(l3_graph())
+    assert not is_cz_trivial_curve(curve, V_TAU_L3).trivial
+    assert len(calls) == 1
+    calls.clear()
+    image_lattice(curve, l3_context())
+    assert calls == [{0}]
+
+
 def _oracle_system(ctx, w):
     """Every (triple, monomial) equation of the graph-level system, one
     column per unit, each column built by the image2_coeffs oracle."""
@@ -185,18 +206,22 @@ def test_kernel_matches_image2_oracle():
     """The minor kernel against image2_coeffs, unit by unit: at graph level
     as the columns of the full system, at curve level evaluated at random
     lengths; and dropping the equations with zero A-row and zero right-hand
-    side leaves the Diophantine solution unchanged."""
+    side leaves the Diophantine solution unchanged.  A non-trivial curve
+    verdict's `lattice_hnf` is the image lattice."""
     rng = random.Random(8)
     zero = IntPolynomial.zero()
-    seen = {"feasible": 0, "infeasible": 0, "dropped": 0, "zero_row_kept": 0}
+    seen = {"feasible": 0, "infeasible": 0, "dropped": 0, "zero_row_kept": 0,
+            "curve_nontrivial": 0}
     for n in range(150):
         # 60 / 45 / 30 / 15 graphs of genus 3 / 4 / 5 / 6
         graph = random_multigraph(rng, (3, 3, 3, 3, 4, 4, 4, 5, 5, 6)[n % 10],
                                   max_vertices=5)
         for tree in (None, random_spanning_tree(rng, graph)):
             ctx = build_cycle_context(graph, tree_hint=tree)
+            v = None
             if rng.random() < 0.5:
-                w = compute_w(CeresaCocycle(ctx, random_abb_map(rng, ctx)))
+                v = CeresaCocycle(ctx, random_abb_map(rng, ctx))
+                w = compute_w(v)
             else:
                 w = CZClass(ctx, image2_coeffs(
                     ctx, random_aab_map(rng, ctx, density=0.2, integers=True)))
@@ -214,10 +239,15 @@ def test_kernel_matches_image2_oracle():
             seen["feasible" if full.feasible else "infeasible"] += 1
 
             lengths = {e.id: rng.randint(1, 5) for e in graph.edges}
-            specialized = _specialized_generators(ctx, TropicalCurve(graph, lengths))
+            curve = TropicalCurve(graph, lengths)
+            specialized = _specialized_generators(ctx, curve)
             for key, gen in zip(aab_keys(ctx.g), gens):
                 assert specialized[key] == [gen.get(tr, zero).evaluate(lengths)
                                             for tr in triple_indices(ctx.g)]
+            verdict = is_cz_trivial_curve(curve, v) if v is not None else None
+            if verdict is not None and not verdict.trivial:
+                assert verdict.certificate["lattice_hnf"] == image_lattice(curve, ctx)
+                seen["curve_nontrivial"] += 1
     assert all(seen.values()), seen
 
 
@@ -553,7 +583,7 @@ def test_image_lattice_is_intrinsic_across_spanning_trees():
                 B[i][j] = signs[i]
         apply = _wedge_cubed_transform(B, n)
         moved = [apply(row) for row in lat2]
-        assert hnf_basis(moved, width=len(lat1[0]) if lat1 else None) == lat1
+        assert hnf_basis(moved) == lat1
         done += 1
 
 

@@ -280,9 +280,8 @@ def test_exit_code_walk_without_accepted_step(tmp_path, capsys, monkeypatch):
     assert err.startswith("internal invariant failure:") and err.count("\n") == 1
 
 
-def test_exit_code_corrupted_graph_solution(capsys, monkeypatch):
-    """A graph-level solution that does not replay to the class is an
-    invariant failure."""
+def _corrupt_solutions(monkeypatch):
+    """Make every Diophantine solution wrong in its first coordinate."""
     import czgraph.intlin as intlin
     real = intlin.solve_diophantine
 
@@ -293,11 +292,28 @@ def test_exit_code_corrupted_graph_solution(capsys, monkeypatch):
         return dataclasses.replace(result, solution=tuple(x))
 
     monkeypatch.setattr(intlin, "solve_diophantine", corrupted)
+
+
+def test_exit_code_corrupted_graph_solution(capsys, monkeypatch):
+    """A graph-level solution that does not replay to the class is an
+    invariant failure."""
+    _corrupt_solutions(monkeypatch)
     stem = ROOT / "tests" / "golden" / "inputs" / "pool-g3-7"
     assert main(["cz-test", f"{stem}.txt", "--cocycle",
                  f"{stem}-trivial.json"]) == EXIT_INVARIANT
     err = capsys.readouterr().err
     assert err == "internal invariant failure: graph-level witness does not replay to the class\n"
+
+
+def test_exit_code_corrupted_curve_solution(capsys, monkeypatch):
+    """A curve-level lattice coefficient vector that does not replay to the
+    specialized class is an invariant failure."""
+    _corrupt_solutions(monkeypatch)
+    stem = ROOT / "tests" / "golden" / "inputs" / "pool-g3-7"
+    assert main(["cz-test", f"{stem}-curve.txt", "--cocycle",
+                 f"{stem}-trivial.json"]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err == "internal invariant failure: curve-level witness does not replay to the class\n"
 
 
 @pytest.mark.parametrize("graph, cocycle, extra", [

