@@ -144,10 +144,13 @@ def test_image_lattice_l3():
 
 
 def test_curve_verdict_builds_each_generator_once(monkeypatch):
-    """The curve path builds the kernel's minors once per verdict and never
-    calls the image2_coeffs oracle."""
+    """The curve path builds the kernel's minors once per verdict, never
+    calls the image2_coeffs oracle and factors the generators in one
+    elimination; `image_lattice` eliminates them with no transform columns."""
     import czgraph.ceresa as ceresa
-    calls = {"minors": 0, "image2_coeffs": 0}
+    import czgraph.intlin as intlin
+    calls = {"minors": 0, "image2_coeffs": 0, "echelon": 0}
+    carried = []  # per elimination: how many columns its rows carry past n
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -155,36 +158,23 @@ def test_curve_verdict_builds_each_generator_once(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
+    def recorded(rows, n):
+        carried.append({len(row) - n for row in rows})
+        return echelon(rows, n)
+
+    echelon = intlin._echelon
     monkeypatch.setattr(ceresa, "_q_minors", counted("minors", ceresa._q_minors))
     monkeypatch.setattr(ceresa, "image2_coeffs",
                         counted("image2_coeffs", ceresa.image2_coeffs))
+    monkeypatch.setattr(intlin, "_echelon", counted("echelon", recorded))
     curve = ones_curve(l3_graph())
     verdict = is_cz_trivial_curve(curve, V_TAU_L3)
     assert not verdict.trivial
-    assert calls == {"minors": 1, "image2_coeffs": 0}
-    monkeypatch.undo()
-    assert verdict.certificate["lattice_hnf"] == image_lattice(curve, l3_context())
-
-
-def test_curve_ops_run_one_elimination(monkeypatch):
-    """A non-trivial curve verdict factors its generators once, and
-    `image_lattice` eliminates the bare generators with no transform
-    columns."""
-    import czgraph.intlin as intlin
-    calls = []
-
-    def recorded(rows, n):
-        calls.append({len(row) - n for row in rows})
-        return real(rows, n)
-
-    real = intlin._echelon
-    monkeypatch.setattr(intlin, "_echelon", recorded)
-    curve = ones_curve(l3_graph())
-    assert not is_cz_trivial_curve(curve, V_TAU_L3).trivial
-    assert len(calls) == 1
-    calls.clear()
-    image_lattice(curve, l3_context())
-    assert calls == [{0}]
+    assert calls == {"minors": 1, "image2_coeffs": 0, "echelon": 1}
+    carried.clear()
+    lattice = image_lattice(curve, l3_context())
+    assert carried == [{0}]
+    assert verdict.certificate["lattice_hnf"] == lattice
 
 
 def _oracle_system(ctx, w):
