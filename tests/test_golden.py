@@ -8,7 +8,9 @@ part of (delta_G - I) applied to a small integer a^a^b element, so their
 graph-level and curve-level verdicts carry a nonzero certificate `a`.  The
 g=4 and g=5 members also run curve-level cz-test with the pool's random
 cocycle; both verdicts are non-trivial, so their certificates pin the
-`lattice_hnf` of the image lattice.  The `classify` inputs add a 6-rung
+`lattice_hnf` of the image lattice.  A g=7 member runs graph-level cz-test
+with both cocycles; its random verdict is non-trivial, so the goldens pin
+the largest class texts.  The `classify` inputs add a 6-rung
 ladder (K4-minor-free, so L3 is decided by the counted series-parallel
 reduction), the Petersen graph and a K4 with every edge subdivided.  Every
 file in `tests/golden` belongs to a case, so no golden outlives the output
@@ -41,6 +43,7 @@ FIXTURES = {
 }
 TRIVIAL_INPUTS = ("pool-g3-7", "pool-g4-0", "pool-g5-1")
 RANDOM_INPUTS = ("pool-g4-0", "pool-g5-1")
+GRAPH_INPUTS = ("pool-g7-0",)
 CLASSIFY_INPUTS = ("ladder6", "petersen", "k4-subdivided")
 ONES = "1,1,1,1,1,1"
 
@@ -73,6 +76,11 @@ def _cases() -> dict[str, list[str]]:
         stem = f"tests/golden/inputs/{name}"
         cases[f"{name}-random-cz-test-curve"] = [
             "cz-test", f"{stem}-curve.txt", "--cocycle", f"{stem}-random.json"]
+    for name in GRAPH_INPUTS:
+        stem = f"tests/golden/inputs/{name}"
+        for kind in ("trivial", "random"):
+            cases[f"{name}-{kind}-cz-test-diophantine"] = [
+                "cz-test", f"{stem}.txt", "--cocycle", f"{stem}-{kind}.json"]
     for name in CLASSIFY_INPUTS:
         cases[f"{name}-classify"] = ["classify", f"tests/golden/inputs/{name}.txt"]
     cases["verify-theorem-6"] = ["verify-theorem", "--max-edges", "6"]
