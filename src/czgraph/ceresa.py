@@ -25,8 +25,11 @@ level evaluates them at the edge lengths.  The graph-level system keeps only
 the equations that can constrain it: one whose generator row and right-hand
 side are both zero is a zero column of A^T, which the Hermite form never
 pivots on, so the solution and certificate are the same as the full
-system's.  `extalg.image2_coeffs` stays the independent reference oracle
-that replays every trivial graph-level verdict.
+system's.  The class is `extalg.image1_forms` of the cocycle, and every
+trivial graph-level verdict is replayed through `extalg.image2_forms`, the
+3x3-determinant closed form, derived independently of the kernel.  All of
+it is integer arithmetic on forms keyed by edge position (see `polyring`);
+the polynomials `CeresaCocycle.b` and `CZClass.c` are the text boundary.
 
 The minor-theoretic classifier ("minor-theorem") decides triviality of the
 graph itself: trivial exactly when there is no K4 or L3 minor.
@@ -36,13 +39,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from math import prod
 from typing import Mapping
 
 from . import intlin
-from .extalg import (aab_keys, abb_keys, image1_coeffs, image2_coeffs,
+from .extalg import (Form, aab_keys, abb_keys, image1_forms, image2_forms,
                      triple_indices)
 from .graph import (CycleBasisContext, InvariantError, MultiGraph,
                     ParseError, PreconditionError, TropicalCurve, blocks,
@@ -51,7 +55,31 @@ from .graph import (CycleBasisContext, InvariantError, MultiGraph,
                     subdivide_edge)
 from .minors import (MinorWitness, has_k4_minor_fast, has_minor,
                      is_hyperelliptic_type)
-from .polyring import IntPolynomial, parse_polynomial
+from .polyring import IntPolynomial, from_form, parse_polynomial, to_form
+
+
+def _validated(ctx: CycleBasisContext, coeffs: Mapping, keys, degree: int,
+               what: str) -> dict[tuple[int, int, int], IntPolynomial]:
+    """The nonzero coefficients, keyed by keys(g), each a homogeneous
+    polynomial of the given degree in the edge variables of the graph."""
+    legal, edge_ids = set(keys(ctx.g)), {e.id for e in ctx.graph.edges}
+    clean: dict[tuple[int, int, int], IntPolynomial] = {}
+    for key, poly in coeffs.items():
+        key = tuple(int(x) for x in key)
+        if key not in legal:
+            raise PreconditionError(f"{what} index {key} out of range")
+        poly = IntPolynomial.coerce(poly)
+        if poly.is_zero():
+            continue
+        if not poly.is_homogeneous(degree):
+            raise PreconditionError(f"{what} coefficient at {key} is not homogeneous "
+                                    f"{('linear', 'quadratic')[degree - 1]}: {poly}")
+        stray = poly.variables() - edge_ids
+        if stray:
+            raise PreconditionError(
+                f"{what} coefficient at {key} uses unknown edges {sorted(stray)}")
+        clean[key] = poly
+    return clean
 
 
 @dataclass(frozen=True)
@@ -66,26 +94,7 @@ class CeresaCocycle:
     b: Mapping[tuple[int, int, int], IntPolynomial]
 
     def __post_init__(self):
-        g = self.context.g
-        legal = set(abb_keys(g))
-        clean: dict[tuple[int, int, int], IntPolynomial] = {}
-        edge_ids = {e.id for e in self.context.graph.edges}
-        for key, poly in self.b.items():
-            key = tuple(int(x) for x in key)
-            if key not in legal:
-                raise PreconditionError(f"cocycle index {key} out of range")
-            poly = IntPolynomial.coerce(poly)
-            if poly.is_zero():
-                continue
-            if not poly.is_homogeneous(1):
-                raise PreconditionError(
-                    f"cocycle coefficient at {key} is not homogeneous linear: {poly}")
-            stray = poly.variables() - edge_ids
-            if stray:
-                raise PreconditionError(
-                    f"cocycle coefficient at {key} uses unknown edges {sorted(stray)}")
-            clean[key] = poly
-        object.__setattr__(self, "b", clean)
+        object.__setattr__(self, "b", _validated(self.context, self.b, abb_keys, 1, "cocycle"))
 
     @property
     def graph(self) -> MultiGraph:
@@ -93,9 +102,13 @@ class CeresaCocycle:
 
     @cached_property
     def cz_class(self) -> CZClass:
-        """The class (delta_G - I)(v) via the closed form, computed once per
-        cocycle; `compute_w` returns it."""
-        return CZClass(self.context, image1_coeffs(self.context, self.b))
+        """The class (delta_G - I)(v) via the closed form on forms, computed
+        once per cocycle; `compute_w` returns it."""
+        ctx = self.context
+        names = [e.id for e in ctx.graph.edges]
+        pos = {v: n for n, v in enumerate(names)}
+        forms = image1_forms(ctx.q_forms, {key: to_form(p, pos) for key, p in self.b.items()})
+        return CZClass(ctx, {t: from_form(f, names) for t, f in forms.items()}, forms)
 
     def is_zero(self) -> bool:
         return not self.b
@@ -128,27 +141,20 @@ class CeresaCocycle:
 @dataclass(frozen=True)
 class CZClass:
     """Class w with coefficients c[(r, s, t)] on b_r^b_s^b_t, r < s < t,
-    homogeneous quadratic in the edge variables."""
+    homogeneous quadratic in the edge variables.  The decisions read them
+    as `forms` over the edge positions, which are read off c if not given."""
 
     context: CycleBasisContext
     c: Mapping[tuple[int, int, int], IntPolynomial]
+    forms: Mapping[tuple[int, int, int], Form] | None = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        g = self.context.g
-        legal = set(triple_indices(g))
-        clean: dict[tuple[int, int, int], IntPolynomial] = {}
-        for key, poly in self.c.items():
-            key = tuple(int(x) for x in key)
-            if key not in legal:
-                raise PreconditionError(f"class index {key} out of range")
-            poly = IntPolynomial.coerce(poly)
-            if poly.is_zero():
-                continue
-            if not poly.is_homogeneous(2):
-                raise PreconditionError(
-                    f"class coefficient at {key} is not homogeneous quadratic: {poly}")
-            clean[key] = poly
+        clean = _validated(self.context, self.c, triple_indices, 2, "class")
         object.__setattr__(self, "c", clean)
+        if self.forms is None:
+            pos = {e.id: n for n, e in enumerate(self.context.graph.edges)}
+            object.__setattr__(self, "forms", {key: to_form(p, pos) for key, p in clean.items()})
 
     def is_zero(self) -> bool:
         return not self.c
@@ -226,7 +232,7 @@ def _twist_pattern(g: int) -> tuple[tuple[int, int, int, int], ...]:
     """Where the squared-twist generators are nonzero, at genus g.
 
     The unit a_i^a_j^b_k (i < j) reaches only the triples (r, s, t) that
-    contain k, where image2_coeffs gives it the coefficient +2 M(s, t; i, j)
+    contain k, where image2_forms gives it the coefficient +2 M(s, t; i, j)
     if k = r, -2 M(r, t; i, j) if k = s and +2 M(r, s; i, j) if k = t.  Each
     entry is (column in aab_keys order, index in triple_indices, factor +-2,
     index of the minor in _q_minors).
@@ -242,21 +248,10 @@ def _twist_pattern(g: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(out)
 
 
-def _positions(poly: IntPolynomial, pos: Mapping[str, int]) -> dict[tuple[int, ...], int]:
-    """A polynomial as a form: each monomial keyed by the sorted positions
-    of its factors in the graph's edge order, with repetition."""
-    form: dict[tuple[int, ...], int] = {}
-    for mono, c in poly.terms.items():
-        key = tuple(sorted(pos[v] for v, e in mono.factors for _ in range(e)))
-        form[key] = form.get(key, 0) + c
-    return {key: c for key, c in form.items() if c}
-
-
-def _q_minors(ctx: CycleBasisContext) -> list[dict[tuple[int, ...], int]]:
+def _q_minors(ctx: CycleBasisContext) -> list[Form]:
     """The 2x2 minors M(u, v; i, j) = q_ui q_vj - q_uj q_vi of Q for u < v
     and i < j, row pairs major, as quadratic forms keyed (a, b), a <= b."""
-    pos = {e.id: n for n, e in enumerate(ctx.graph.edges)}
-    lin = [[_positions(q, pos) for q in row] for row in ctx.Q]
+    lin = ctx.q_forms
     pairs = list(combinations(range(ctx.g), 2))
     minors = []
     for u, v in pairs:
@@ -283,13 +278,11 @@ def _graph_system(ctx: CycleBasisContext, w: CZClass
     form, so dropping it leaves the solution unchanged.  A zero A-row with a
     nonzero right-hand side stays and makes the system infeasible.
     """
-    pos = {e.id: n for n, e in enumerate(ctx.graph.edges)}
     minors = _q_minors(ctx)
-    target = {t: _positions(w.c[tr], pos)
-              for t, tr in enumerate(triple_indices(ctx.g)) if tr in w.c}
+    target = {t: w.forms[tr] for t, tr in enumerate(triple_indices(ctx.g)) if tr in w.forms}
     # Monomial's order: by the first edge, then x_a x_b before x_a^2
     monos = sorted(set().union(*minors, *target.values()),
-                   key=lambda ab: (ab[0], ab[1] if ab[1] != ab[0] else len(pos)))
+                   key=lambda ab: (ab[0], ab[0] == ab[1], ab[1]))
     row_of = {m: n for n, m in enumerate(monos)}
     width, n_units = len(monos), len(aab_keys(ctx.g))
     rows: dict[int, list[int]] = {}
@@ -315,7 +308,7 @@ def is_cz_trivial_graph(G: MultiGraph, v: CeresaCocycle) -> TrivialityVerdict:
 
     Builds one linear equation per (triple, quadratic monomial) pair
     (`_graph_system`) and decides exact integer feasibility.  A trivial
-    verdict is replayed through `image2_coeffs`.  The larger "psi" system,
+    verdict is replayed through `image2_forms`.  The larger "psi" system,
     which also admits a^a^a generators modulo the embedded H, provably
     agrees for classes in the top filtration; it is kept with the tests as
     an oracle (`tests/ceresa_oracles.py`).
@@ -337,7 +330,7 @@ def is_cz_trivial_graph(G: MultiGraph, v: CeresaCocycle) -> TrivialityVerdict:
             certificate={"infeasible": True, "unknowns": len(units),
                          "equations": n_equations})
     a = {key: coeff for key, coeff in zip(units, result.solution) if coeff}
-    if image2_coeffs(ctx, a) != dict(w.c):
+    if image2_forms(ctx.q_forms, {key: {(): c} for key, c in a.items()}) != w.forms:
         raise InvariantError("graph-level witness does not replay to the class")
     return TrivialityVerdict(True, "graph-diophantine", certificate={"a": a})
 
@@ -352,11 +345,9 @@ def specialize(w: CZClass, curve: TropicalCurve) -> list[int]:
     """
     if curve.graph != w.context.graph:
         raise PreconditionError("curve does not match the class's graph")
-    out = []
-    for tr in triple_indices(w.context.g):
-        poly = w.c.get(tr)
-        out.append(poly.evaluate(curve.lengths) if poly is not None else 0)
-    return out
+    lengths = [curve.lengths[e.id] for e in w.context.graph.edges]
+    return [sum(c * prod(lengths[p] for p in key) for key, c in w.forms.get(tr, {}).items())
+            for tr in triple_indices(w.context.g)]
 
 
 def image_lattice(curve: TropicalCurve,

@@ -15,23 +15,23 @@ where [e] is the edge's class in the b-basis (the signed incidences of e in
 the fundamental cycles).  The product of all delta_e is the block-unipotent
 map sending a_j to a_j + sum_i q_ij b_i and fixing every b_j.
 
-The closed forms `image1_coeffs` and `image2_coeffs` give the top-filtration
-coefficients of (delta_G - I) and its square directly.  No decision uses
-the element-level maps (`HElement`, `LElement`, `delta_G_L`): the benchmark's
-pool builder makes its trivial cocycles with `aab_to_l_element` and
-`delta_G_minus_I_L`, and the tests check the closed forms against them.
-Routes that exist only to check the closed forms, such as `psi_G`, reading
-b^b^b coefficients off a full element or parsing an element's text, live
-with the tests (`tests/extalg_oracles.py`).
+The closed forms `image1_forms` and `image2_forms` give the top-filtration
+coefficients of (delta_G - I) and its square on forms keyed by edge position
+(see `polyring`); `image1_coeffs` and `image2_coeffs` apply them to
+polynomials.  No decision uses the element-level maps (`HElement`,
+`LElement`, `delta_G_L`): the benchmark's pool builder makes its trivial
+cocycles with `aab_to_l_element` and `delta_G_minus_I_L`, and the tests
+check the closed forms against them.  Other routes that only check the
+closed forms live with the tests (`tests/extalg_oracles.py`).
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .graph import CycleBasisContext, PreconditionError
-from .polyring import IntPolynomial
+from .polyring import IntPolynomial, from_form, to_form
 
 Label = tuple[str, int]  # ("a"|"b", 1-based index)
 
@@ -374,82 +374,93 @@ def aab_keys(g: int) -> list[tuple[int, int, int]]:
             for k in range(1, g + 1)]
 
 
-def _check_keys(g: int, keys: Iterable[tuple[int, int, int]], legal: set) -> None:
-    for key in keys:
-        if key not in legal:
-            raise PreconditionError(f"index {key} out of range for genus {g}")
+Form = dict[tuple[int, ...], int]
 
 
-def image1_coeffs(ctx: CycleBasisContext,
-                  b: Mapping[tuple[int, int, int], IntPolynomial | int]
-                  ) -> dict[tuple[int, int, int], IntPolynomial]:
+def _add_product(out: Form, f: Form, g: Form, factor: int) -> None:
+    """out += factor * f * g, over forms."""
+    for ka, ca in f.items():
+        for kb, cb in g.items():
+            key = tuple(sorted(ka + kb))
+            out[key] = out.get(key, 0) + factor * ca * cb
+
+
+def _nonzero(out: dict[tuple[int, int, int], Form]) -> dict[tuple[int, int, int], Form]:
+    clean = ((t, {k: c for k, c in f.items() if c}) for t, f in out.items())
+    return {t: f for t, f in clean if f}
+
+
+def image1_forms(q: Sequence[Sequence[Form]], b: Mapping[tuple[int, int, int], Form]
+                 ) -> dict[tuple[int, int, int], Form]:
     """Top-filtration coefficients of (delta_G - I) applied to
-    sum b_ijk a_i^b_j^b_k:   c_rst = sum_i (b_irs q_ti - b_irt q_si + b_ist q_ri).
+    sum b_ijk a_i^b_j^b_k, over forms (q is Q, indexed from 0):
 
-    Agrees with applying delta_G_L directly and reading off b^b^b terms.
+        c_rst = sum_i (b_irs q_ti - b_irt q_si + b_ist q_ri).
+
+    Each b_ijk reaches the triples {j, k, m}, m != j, k, with the factor
+    q_mi, negated when j < m < k.
     """
-    g = ctx.g
-    _check_keys(g, b.keys(), set(abb_keys(g)))
-    bb = {k: IntPolynomial.coerce(v) for k, v in b.items()}
-
-    def get(i, j, k):
-        return bb.get((i, j, k), IntPolynomial.zero())
-
-    out: dict[tuple[int, int, int], IntPolynomial] = {}
-    for (r, s, t) in triple_indices(g):
-        total = IntPolynomial.zero()
-        for i in range(1, g + 1):
-            total = (total
-                     + get(i, r, s) * ctx.q_entry(t, i)
-                     - get(i, r, t) * ctx.q_entry(s, i)
-                     + get(i, s, t) * ctx.q_entry(r, i))
-        if not total.is_zero():
-            out[(r, s, t)] = total
-    return out
+    out: dict[tuple[int, int, int], Form] = {}
+    for (i, j, k), f in b.items():
+        for m in range(1, len(q) + 1):
+            if m != j and m != k:
+                triple = tuple(sorted((j, k, m)))
+                _add_product(out.setdefault(triple, {}), f, q[m - 1][i - 1],
+                             -1 if j < m < k else 1)
+    return _nonzero(out)
 
 
-def image2_coeffs(ctx: CycleBasisContext,
-                  a: Mapping[tuple[int, int, int], IntPolynomial | int]
-                  ) -> dict[tuple[int, int, int], IntPolynomial]:
-    """Top-filtration coefficients of (delta_G - I)^2 applied to
-    sum a_ijk a_i^a_j^b_k: twice the 3x3 determinants
+def image2_forms(q: Sequence[Sequence[Form]], a: Mapping[tuple[int, int, int], Form]
+                 ) -> dict[tuple[int, int, int], Form]:
+    """Top-filtration coefficients of (delta_G - I)^2 applied to sum a_ijk
+    a_i^a_j^b_k, over forms (q is Q, indexed from 0): twice the 3x3 determinants
 
         c_rst = 2 sum_{i<j} | q_ri q_rj a_ijr ; q_si q_sj a_ijs ; q_ti q_tj a_ijt |.
 
-    Every output coefficient is even.  Agrees with applying delta_G_L twice.
-    This is the reference oracle: the decisions in `ceresa` build their
-    generators from the integer minor kernel instead, and use this closed
-    form, in polynomial arithmetic, to replay the graph-level certificates.
+    Expanded along the last column, a_ijk reaches the triples {u, v, k},
+    u < v, times the minor q_ui q_vj - q_uj q_vi, negated when u < k < v.
     """
-    g = ctx.g
-    if g < 3:
+    out: dict[tuple[int, int, int], Form] = {}
+    for (i, j, k), f in a.items():
+        for u, v in combinations([m for m in range(1, len(q) + 1) if m != k], 2):
+            minor: Form = {}
+            _add_product(minor, q[u - 1][i - 1], q[v - 1][j - 1], 1)
+            _add_product(minor, q[u - 1][j - 1], q[v - 1][i - 1], -1)
+            triple = tuple(sorted((u, v, k)))
+            _add_product(out.setdefault(triple, {}), f, minor, -2 if u < k < v else 2)
+    return _nonzero(out)
+
+
+def _boundary(ctx: CycleBasisContext, coeffs: Mapping, legal: set, image
+              ) -> dict[tuple[int, int, int], IntPolynomial]:
+    """Apply a closed form to polynomial or integer coefficients: convert
+    them to forms over the graph's edges, then any other variable they use,
+    and the image back to polynomials."""
+    bad = [key for key in coeffs if key not in legal]
+    if bad:
+        raise PreconditionError(f"index {bad[0]} out of range for genus {ctx.g}")
+    polys = {key: IntPolynomial.coerce(v) for key, v in coeffs.items()}
+    names = [e.id for e in ctx.graph.edges]
+    names += sorted(set().union(*(p.variables() for p in polys.values())) - set(names))
+    pos = {v: n for n, v in enumerate(names)}
+    forms = image(ctx.q_forms, {key: to_form(p, pos) for key, p in polys.items()})
+    return {t: from_form(f, names) for t, f in forms.items()}
+
+
+def image1_coeffs(ctx: CycleBasisContext, b: Mapping[tuple[int, int, int], IntPolynomial | int]
+                  ) -> dict[tuple[int, int, int], IntPolynomial]:
+    """`image1_forms` on polynomial coefficients.  Agrees with applying
+    delta_G_L directly and reading off b^b^b terms."""
+    return _boundary(ctx, b, set(abb_keys(ctx.g)), image1_forms)
+
+
+def image2_coeffs(ctx: CycleBasisContext, a: Mapping[tuple[int, int, int], IntPolynomial | int]
+                  ) -> dict[tuple[int, int, int], IntPolynomial]:
+    """`image2_forms` on polynomial coefficients.  Every output coefficient
+    is even.  Agrees with applying delta_G_L twice."""
+    if ctx.g < 3:
         raise PreconditionError("image2_coeffs needs genus >= 3")
-    _check_keys(g, a.keys(), set(aab_keys(g)))
-    aa = {k: IntPolynomial.coerce(v) for k, v in a.items()}
-    zero = IntPolynomial.zero()
-
-    def get(i, j, k):
-        return aa.get((i, j, k), zero)
-
-    out: dict[tuple[int, int, int], IntPolynomial] = {}
-    for (r, s, t) in triple_indices(g):
-        total = IntPolynomial.zero()
-        for i in range(1, g + 1):
-            for j in range(i + 1, g + 1):
-                air, ais, ait = get(i, j, r), get(i, j, s), get(i, j, t)
-                if air.is_zero() and ais.is_zero() and ait.is_zero():
-                    continue  # the determinant's last column is zero
-                qri, qrj = ctx.q_entry(r, i), ctx.q_entry(r, j)
-                qsi, qsj = ctx.q_entry(s, i), ctx.q_entry(s, j)
-                qti, qtj = ctx.q_entry(t, i), ctx.q_entry(t, j)
-                det = (air * (qsi * qtj - qsj * qti)
-                       - ais * (qri * qtj - qrj * qti)
-                       + ait * (qri * qsj - qrj * qsi))
-                total = total + det
-        total = total + total
-        if not total.is_zero():
-            out[(r, s, t)] = total
-    return out
+    return _boundary(ctx, a, set(aab_keys(ctx.g)), image2_forms)
 
 
 def aab_to_l_element(g: int,

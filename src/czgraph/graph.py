@@ -28,9 +28,10 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .polyring import IntPolynomial, ascii_int, idkey, is_variable_name
+from .polyring import IntPolynomial, ascii_int, from_form, idkey, is_variable_name
 
 
 class GraphError(ValueError):
@@ -391,14 +392,25 @@ class CycleBasisContext:
     order[:g] are the non-tree (basis) edges e_1..e_g; order[g:] is the
     spanning tree.  cycles[j] maps edge ids to +1/-1 signs of the j-th
     fundamental cycle, oriented along its defining edge.  Q[i][j] is the
-    linear form sum_e s_i(e) s_j(e) x_e.
+    linear form sum_e s_i(e) s_j(e) x_e: `q_forms` holds it as a form over
+    the positions of the edges in graph.edges, and `Q` as a polynomial.
     """
 
     graph: MultiGraph
     order: tuple[str, ...]
     tree: tuple[str, ...]
     cycles: tuple[Mapping[str, int], ...]
-    Q: tuple[tuple[IntPolynomial, ...], ...]
+
+    @cached_property
+    def q_forms(self) -> tuple[tuple[dict[tuple[int, ...], int], ...], ...]:
+        pos = {e.id: n for n, e in enumerate(self.graph.edges)}
+        return tuple(tuple({(pos[e],): s * cj[e] for e, s in ci.items() if e in cj}
+                           for cj in self.cycles) for ci in self.cycles)
+
+    @cached_property
+    def Q(self) -> tuple[tuple[IntPolynomial, ...], ...]:
+        names = [e.id for e in self.graph.edges]
+        return tuple(tuple(from_form(f, names) for f in row) for row in self.q_forms)
 
     @property
     def g(self) -> int:
@@ -414,10 +426,6 @@ class CycleBasisContext:
         edge_id = str(edge_id)
         self.graph.edge(edge_id)
         return tuple(c.get(edge_id, 0) for c in self.cycles)
-
-    def q_entry(self, i: int, j: int) -> IntPolynomial:
-        """1-based access matching the written matrix."""
-        return self.Q[i - 1][j - 1]
 
 
 def _validate_tree(g: MultiGraph, ids: list[str], root: str) -> dict[str, Edge]:
@@ -491,28 +499,11 @@ def build_cycle_context(g: MultiGraph, tree_hint: Iterable[str] | None = None,
         basis = sorted(nontree, key=idkey)
     tree_sorted = sorted(tree_ids, key=idkey)
     cycles = [_fundamental_cycle(tree, g.edge(b)) for b in basis]
-
-    gn = len(basis)
-    Q = []
-    for i in range(gn):
-        row = []
-        for j in range(gn):
-            entry = IntPolynomial.zero()
-            ci, cj = cycles[i], cycles[j]
-            small, big = (ci, cj) if len(ci) <= len(cj) else (cj, ci)
-            for eid, s in small.items():
-                t = big.get(eid)
-                if t:
-                    entry = entry + IntPolynomial.variable(eid, s * t)
-            row.append(entry)
-        Q.append(tuple(row))
-
     return CycleBasisContext(
         graph=g,
         order=tuple(basis + tree_sorted),
         tree=tuple(tree_sorted),
         cycles=tuple(cycles),
-        Q=tuple(Q),
     )
 
 

@@ -46,14 +46,6 @@ class IntMatrix:
         flat = [x for row in data for x in row]
         return cls(len(data), width, flat)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
     def __getitem__(self, idx: tuple[int, int]) -> int:
         i, j = idx
         if not (0 <= i < self.rows and 0 <= j < self.cols):

@@ -1,4 +1,5 @@
-"""Exact sparse multivariate polynomial arithmetic over the integers.
+"""Exact sparse multivariate polynomials over the integers: the text and
+JSON boundary of the edge polynomial ring.
 
 Variables are indexed by edge identifiers and rendered as ``x<id>``, so the
 ring is Z[x_e : e an edge id].  The text form reads back only for ids made of
@@ -7,6 +8,11 @@ parsers reject any other edge id.  Coefficients are Python ints, hence
 arbitrary precision; all operations are exact and return canonical
 polynomials (no zero coefficients stored).
 
+The decisions compute on forms instead: a form maps the sorted positions of
+a monomial's variables, with repetition, to its coefficient, so over the
+edges 1, 2, 3, x1*x3 - 2*x3^2 is {(0, 2): 1, (2, 2): -2}.  `to_form` and
+`from_form` convert at the boundary.
+
 Polynomials are immutable values: every operation returns a new object and
 instances may be shared freely between threads.
 """
@@ -14,7 +20,8 @@ instances may be shared freely between threads.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
+from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from functools import total_ordering
 
 
@@ -173,12 +180,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def degree(self) -> int:
-        """Total degree; the zero polynomial has degree -1 by convention."""
-        if not self._terms:
-            return -1
-        return max(m.degree() for m in self._terms)
-
     def is_homogeneous(self, degree: int | None = None) -> bool:
         """True if all terms share one total degree (vacuously true for 0)."""
         degrees = {m.degree() for m in self._terms}
@@ -315,6 +316,18 @@ class IntPolynomial:
         return f"IntPolynomial({self})"
 
 
+def to_form(poly: IntPolynomial, pos: Mapping[str, int]) -> dict[tuple[int, ...], int]:
+    """The polynomial as a form; pos gives each variable's position."""
+    return {tuple(sorted(pos[v] for v, e in mono.factors for _ in range(e))): c
+            for mono, c in poly._terms.items()}
+
+
+def from_form(form: Mapping[tuple[int, ...], int], names: Sequence[str]) -> IntPolynomial:
+    """The form as a polynomial in the variables names[position]."""
+    return IntPolynomial({Monomial(Counter(names[p] for p in key)): c
+                          for key, c in form.items()})
+
+
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 _TOKEN_RE = re.compile(rf"x({_NAME_RE.pattern})(?:\^([0-9]+))?$")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
@@ -347,7 +360,7 @@ def parse_polynomial(text: str) -> IntPolynomial:
     if s.endswith(("+", "-")):
         raise PolynomialError(f"dangling operator in {text!r}")
     s = s.replace("-", "+-")
-    total = IntPolynomial.zero()
+    terms = []
     for chunk in s.split("+"):
         chunk = chunk.strip()
         if not chunk:
@@ -372,5 +385,5 @@ def parse_polynomial(text: str) -> IntPolynomial:
                 continue
             var, exp = m.group(1), int(m.group(2) or 1)
             exps[var] = exps.get(var, 0) + exp
-        total = total + IntPolynomial({Monomial(exps): coeff})
-    return total
+        terms.append((Monomial(exps), coeff))
+    return IntPolynomial(terms)

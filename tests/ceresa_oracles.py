@@ -15,11 +15,11 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 
-from czgraph.ceresa import CZClass, _positions, _q_minors, _twist_pattern
+from czgraph.ceresa import CZClass, _q_minors, _twist_pattern
 from czgraph.extalg import aab_keys, triple_indices
 from czgraph.graph import CycleBasisContext
 from czgraph.intlin import IntMatrix, solve_diophantine
-from czgraph.polyring import Monomial
+from czgraph.polyring import Monomial, to_form
 
 
 def psi_system(ctx: CycleBasisContext, w: CZClass
@@ -49,7 +49,7 @@ def psi_system(ctx: CycleBasisContext, w: CZClass
     g = ctx.g
     ids = [e.id for e in ctx.graph.edges]
     pos = {e: n for n, e in enumerate(ids)}
-    lin = [[_positions(q, pos) for q in row] for row in ctx.Q]
+    lin = [[to_form(q, pos) for q in row] for row in ctx.Q]
     minors = _q_minors(ctx)
     pairs = list(combinations(range(1, g + 1), 2))
     index = {p: n for n, p in enumerate(pairs)}
@@ -81,7 +81,7 @@ def psi_system(ctx: CycleBasisContext, w: CZClass
                         det[key] = det.get(key, 0) + sign * cq * cm
             put(bbb[t], {m: c for m, c in det.items() if c}, col, 3)
     target = {(bbb[t], m): c for t, tr in enumerate(triples) if tr in w.c
-              for m, c in _positions(w.c[tr], pos).items()}
+              for m, c in to_form(w.c[tr], pos).items()}
     for key in target:
         columns.setdefault(key, {})
     mono = {m: Monomial(Counter(ids[x] for x in m)) for _, m in columns}

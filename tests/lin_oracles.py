@@ -5,6 +5,7 @@ independent route to a fact the solver also establishes:
 
 * `determinant`: fraction-free (Bareiss) elimination, used to check that
   transforms are unimodular and that lattice indices match HNF pivots;
+* `identity` and `zeros`: the identity and the zero `IntMatrix`;
 * `matmul`: the product of two `IntMatrix` values, for checking H = U*A;
 * `smith_normal_form`: a second feasibility route for integer systems;
 * `kernel_basis`: the integer kernel of a matrix, from the transform of a
@@ -14,6 +15,14 @@ independent route to a fact the solver also establishes:
 from __future__ import annotations
 
 from czgraph.intlin import DimensionError, IntMatrix, hermite_normal_form
+
+
+def identity(n: int) -> IntMatrix:
+    return IntMatrix(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+
+
+def zeros(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix(rows, cols, [0] * (rows * cols))
 
 
 def matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
@@ -86,8 +95,8 @@ def smith_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     divisibility chain with explicit 2x2 transforms.  Used as an independent
     cross-check of the HNF-based Diophantine solver.
     """
-    U = IntMatrix.identity(A.rows)
-    V = IntMatrix.identity(A.cols)
+    U = identity(A.rows)
+    V = identity(A.cols)
     D = A
     for _ in range(200):
         H, U1 = hermite_normal_form(D)

@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,7 @@ from czgraph.extalg import (HElement, LElement, aab_keys, aab_to_l_element,
                             alpha, beta, delta_G_minus_I_L, image2_coeffs,
                             triple_indices)
 from czgraph.graph import (MultiGraph, PreconditionError, TropicalCurve,
-                           build_cycle_context, genus)
+                           build_cycle_context, genus, load_graph_file)
 from czgraph.intlin import IntMatrix, solve_diophantine
 from czgraph.polyring import IntPolynomial
 from czgraph.polyring import parse_polynomial as P
@@ -145,11 +146,11 @@ def test_image_lattice_l3():
 
 def test_curve_verdict_builds_each_generator_once(monkeypatch):
     """The curve path builds the kernel's minors once per verdict, never
-    calls the image2_coeffs oracle and factors the generators in one
+    calls the image2_forms replay and factors the generators in one
     elimination; `image_lattice` eliminates them with no transform columns."""
     import czgraph.ceresa as ceresa
     import czgraph.intlin as intlin
-    calls = {"minors": 0, "image2_coeffs": 0, "echelon": 0}
+    calls = {"minors": 0, "image2_forms": 0, "echelon": 0}
     carried = []  # per elimination: how many columns its rows carry past n
 
     def counted(name, real):
@@ -164,13 +165,13 @@ def test_curve_verdict_builds_each_generator_once(monkeypatch):
 
     echelon = intlin._echelon
     monkeypatch.setattr(ceresa, "_q_minors", counted("minors", ceresa._q_minors))
-    monkeypatch.setattr(ceresa, "image2_coeffs",
-                        counted("image2_coeffs", ceresa.image2_coeffs))
+    monkeypatch.setattr(ceresa, "image2_forms",
+                        counted("image2_forms", ceresa.image2_forms))
     monkeypatch.setattr(intlin, "_echelon", counted("echelon", recorded))
     curve = ones_curve(l3_graph())
     verdict = is_cz_trivial_curve(curve, V_TAU_L3)
     assert not verdict.trivial
-    assert calls == {"minors": 1, "image2_coeffs": 0, "echelon": 1}
+    assert calls == {"minors": 1, "image2_forms": 0, "echelon": 1}
     carried.clear()
     lattice = image_lattice(curve, l3_context())
     assert carried == [{0}]
@@ -394,6 +395,56 @@ def test_pushforward_subdivide_commutes():
                 == specialize(compute_w(v), base_curve))
         assert (image_lattice(sub_curve, moved.context)
                 == image_lattice(base_curve, ctx))
+
+
+def test_subdivision_keeps_verdicts_on_random_cocycles():
+    """Subdividing one edge keeps the graph-level verdict, and keeps the
+    curve-level verdict when the halves' lengths add up to the edge's."""
+    rng = random.Random(5)
+    trivial = {"graph": 0, "curve": 0}
+    for _ in range(60):
+        g = random_multigraph(rng, rng.randint(3, 5))
+        ctx = build_cycle_context(g)
+        v = CeresaCocycle(ctx, random_abb_map(rng, ctx, density=rng.choice([0.1, 0.3])))
+        f = rng.choice([e.id for e in g.edges])
+        moved = pushforward_subdivide(v, f)
+        graph_verdict = is_cz_trivial_graph(g, v).trivial
+        assert is_cz_trivial_graph(moved.graph, moved).trivial == graph_verdict
+        lengths = {e.id: rng.randint(2, 5) for e in g.edges}
+        half = rng.randint(1, lengths[f] - 1)
+        halves = {f + "a": half, f + "b": lengths[f] - half}
+        sub_lengths = {e: n for e, n in lengths.items() if e != f} | halves
+        curve_verdict = is_cz_trivial_curve(TropicalCurve(g, lengths), v).trivial
+        assert is_cz_trivial_curve(TropicalCurve(moved.graph, sub_lengths),
+                                   moved).trivial == curve_verdict
+        trivial["graph"] += graph_verdict
+        trivial["curve"] += curve_verdict
+    assert 0 < trivial["graph"] < 60 and 0 < trivial["curve"] < 60
+
+
+def test_decisions_do_no_polynomial_arithmetic(monkeypatch):
+    """Once the cocycle is parsed, the class, both verdicts and the
+    specialization compute on integer forms: on pool-g5-1 with either
+    cocycle, no IntPolynomial is added, negated, multiplied, substituted
+    into or evaluated."""
+    inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+    _, lengths = load_graph_file(str(inputs / "pool-g5-1-curve.txt"))
+    cocycles = [CeresaCocycle.from_json_dict(json.loads(
+        (inputs / f"pool-g5-1-{kind}.json").read_text(encoding="utf-8")))
+        for kind in ("trivial", "random")]
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                 "__mul__", "__rmul__", "__pow__", "substitute", "evaluate"):
+        monkeypatch.setattr(IntPolynomial, name,
+                            lambda *args, _name=name, _real=getattr(IntPolynomial, name):
+                            calls.append(_name) or _real(*args))
+    verdicts = []
+    for v in cocycles:
+        compute_w(v)
+        verdicts.append(is_cz_trivial_graph(v.graph, v).trivial)
+        verdicts.append(is_cz_trivial_curve(TropicalCurve(v.graph, lengths), v).trivial)
+    assert calls == []
+    assert verdicts == [True, True, False, False]
 
 
 def test_pushforward_contract_commutes_random():

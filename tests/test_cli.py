@@ -324,15 +324,16 @@ def test_exit_code_corrupted_curve_solution(capsys, monkeypatch):
 ], ids=["graph", "curve", "pool-graph", "pool-curve"])
 def test_cz_test_computes_the_class_once(tmp_path, monkeypatch, capsys,
                                          graph, cocycle, extra):
-    """The verdict and the reported class share one image1_coeffs call."""
+    """The verdict and the reported class share one call of the class's
+    closed form, `image1_forms`."""
     import czgraph.ceresa as ceresa
     if cocycle is None:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(V_TAU_K4.to_json_dict()))
     else:
         path = ROOT / cocycle
-    real, calls = ceresa.image1_coeffs, []
-    monkeypatch.setattr(ceresa, "image1_coeffs",
+    real, calls = ceresa.image1_forms, []
+    monkeypatch.setattr(ceresa, "image1_forms",
                         lambda *args: calls.append(1) or real(*args))
     for _ in range(2):
         calls.clear()

@@ -6,19 +6,20 @@ import pytest
 from czgraph.intlin import (DimensionError, IntMatrix, hermite_normal_form,
                             hnf_basis, lattice_membership, solve_diophantine)
 
-from lin_oracles import determinant, kernel_basis, matmul, smith_normal_form
+from lin_oracles import (determinant, identity, kernel_basis, matmul,
+                         smith_normal_form, zeros)
 
 L3_GENS = [[2, 2, 0, 2], [0, 4, 0, 0], [0, 0, 2, 2], [0, 0, 0, 4]]
 
 
 def test_hnf_identity():
-    I = IntMatrix.identity(4)
+    I = identity(4)
     H, U = hermite_normal_form(I)
     assert H == I and U == I
 
 
 def test_hnf_zero_matrix():
-    Z = IntMatrix.zeros(3, 3)
+    Z = zeros(3, 3)
     H, U = hermite_normal_form(Z)
     assert H == Z
     assert abs(determinant(U)) == 1
@@ -83,7 +84,7 @@ def test_hnf_shape_properties():
 
 
 def test_solve_identity():
-    A = IntMatrix.identity(3)
+    A = identity(3)
     res = solve_diophantine(A, [5, -2, 7])
     assert res.feasible and list(res.solution) == [5, -2, 7]
     assert kernel_basis(A) == []
@@ -160,7 +161,7 @@ def test_lattice_membership_mismatched_lengths():
 
 
 def _random_unimodular(rng, n):
-    U = IntMatrix.identity(n).to_rows()
+    U = identity(n).to_rows()
     for _ in range(3 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         if i != j:
@@ -218,9 +219,9 @@ def test_dimension_checks():
     with pytest.raises(DimensionError):
         IntMatrix(2, 2, [1, 2, 3])
     with pytest.raises(DimensionError):
-        solve_diophantine(IntMatrix.identity(2), [1, 2, 3])
+        solve_diophantine(identity(2), [1, 2, 3])
     with pytest.raises(DimensionError):
-        matmul(IntMatrix.identity(2), IntMatrix.identity(3))
+        matmul(identity(2), identity(3))
 
 
 def test_transpose_and_apply_match_index_loops():
