@@ -50,12 +50,34 @@ def test_compute_w_zero_cocycle(k4_ctx):
 
 
 def test_cocycle_validation(k4_ctx):
-    with pytest.raises(PreconditionError):
-        CeresaCocycle(k4_ctx, {(1, 1, 2): P("x1*x2")})  # quadratic
-    with pytest.raises(PreconditionError):
-        CeresaCocycle(k4_ctx, {(1, 2, 1): P("x1")})  # needs j < k
-    with pytest.raises(PreconditionError):
-        CeresaCocycle(k4_ctx, {(1, 1, 2): P("x9")})  # unknown edge
+    """Cocycles and classes reject a bad coefficient with one message each,
+    checked in the order index, homogeneity, unknown edges."""
+    cases = [
+        (CeresaCocycle, (1, 2, 1), "x1",  # needs j < k
+         "cocycle index (1, 2, 1) out of range"),
+        (CeresaCocycle, (1, 1, 2), "x1*x2",
+         "cocycle coefficient at (1, 1, 2) is not homogeneous linear: x1*x2"),
+        (CeresaCocycle, (1, 1, 2), "3",
+         "cocycle coefficient at (1, 1, 2) is not homogeneous linear: 3"),
+        (CeresaCocycle, (1, 1, 2), "x9 - x10 + x1",
+         "cocycle coefficient at (1, 1, 2) uses unknown edges ['10', '9']"),
+        (CeresaCocycle, (1, 1, 2), "x1*x9 + x8",  # both: homogeneity wins
+         "cocycle coefficient at (1, 1, 2) is not homogeneous linear: x1*x9 + x8"),
+        (CZClass, (1, 2, 4), "x1*x2",
+         "class index (1, 2, 4) out of range"),
+        (CZClass, (1, 2, 3), "x1",
+         "class coefficient at (1, 2, 3) is not homogeneous quadratic: x1"),
+        (CZClass, (1, 2, 3), "x1*x2 + 1",
+         "class coefficient at (1, 2, 3) is not homogeneous quadratic: 1 + x1*x2"),
+        (CZClass, (1, 2, 3), "x1*x9 + x7^2",
+         "class coefficient at (1, 2, 3) uses unknown edges ['7', '9']"),
+        (CZClass, (1, 2, 3), "x1*x9 + x7",  # both: homogeneity wins
+         "class coefficient at (1, 2, 3) is not homogeneous quadratic: x1*x9 + x7"),
+    ]
+    for cls, key, poly, message in cases:
+        with pytest.raises(PreconditionError) as info:
+            cls(k4_ctx, {key: P(poly)})
+        assert str(info.value) == message
 
 
 def test_graph_verdicts_not_trivial():

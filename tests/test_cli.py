@@ -262,6 +262,17 @@ def test_exit_code_bad_cocycle_json(tmp_path, capsys, k4_file, edit):
     assert err.startswith("parse error: bad cocycle JSON") and err.count("\n") == 1
 
 
+def test_exit_code_cocycle_not_homogeneous_and_unknown_edge(tmp_path, capsys, k4_file):
+    data = V_TAU_K4.to_json_dict()
+    data["b"][0]["poly"] = "x1*x9 + x2"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    assert main(["cz-test", k4_file, "--cocycle", str(path)]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == (
+        "precondition violated: cocycle coefficient at (1, 1, 2) is not homogeneous "
+        "linear: x1*x9 + x2\n")
+
+
 def test_exit_code_cocycle_is_a_directory(tmp_path, capsys, k4_file):
     assert main(["cz-test", k4_file, "--cocycle", str(tmp_path)]) == EXIT_PARSE
     err = capsys.readouterr().err
