@@ -6,16 +6,18 @@ a symplectic lattice, and decides triviality of Ceresa-Zharkov classes three
 ways: integer-linear feasibility over polynomial coefficients (Hermite normal
 form), lattice membership at integer edge lengths, and the forbidden-minor
 characterization (no K4 or L3 minor).  Reference implementations that only
-serve as cross-checks (Smith normal form, determinants, the naive minor
-search, the graph-level psi system and the element-level psi map) live
-with the tests, in `tests/*_oracles.py`.
+serve as cross-checks live with the tests, in `tests/*_oracles.py`: the
+Hermite normal form with its transform, the Smith normal form,
+determinants and the integer kernel; polynomial substitution, powers and
+evaluation; the naive minor search; the graph-level psi system and the
+element-level psi map.
 """
 
 __version__ = "0.1.0"
 
 from .polyring import IntPolynomial, Monomial, parse_polynomial
-from .intlin import (DiophantineResult, IntMatrix, hermite_normal_form,
-                     lattice_membership, solve_diophantine)
+from .intlin import (DiophantineResult, IntMatrix, lattice_membership,
+                     solve_diophantine)
 from .graph import (CycleBasisContext, Edge, MultiGraph, TropicalCurve,
                     blocks, build_cycle_context, contract_edge, delete_edge,
                     genus, load_graph_file, parse_graph_text,
@@ -32,8 +34,8 @@ from .ceresa import (V_TAU_K4, V_TAU_L3, CeresaCocycle, CZClass,
 
 __all__ = [
     "IntPolynomial", "Monomial", "parse_polynomial",
-    "DiophantineResult", "IntMatrix", "hermite_normal_form",
-    "lattice_membership", "solve_diophantine",
+    "DiophantineResult", "IntMatrix", "lattice_membership",
+    "solve_diophantine",
     "CycleBasisContext", "Edge", "MultiGraph", "TropicalCurve",
     "blocks", "build_cycle_context", "contract_edge", "delete_edge",
     "genus", "load_graph_file", "parse_graph_text", "render_graph_text",

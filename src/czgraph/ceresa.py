@@ -28,8 +28,10 @@ pivots on, so the solution and certificate are the same as the full
 system's.  The class is `extalg.image1_forms` of the cocycle, and every
 trivial graph-level verdict is replayed through `extalg.image2_forms`, the
 3x3-determinant closed form, derived independently of the kernel.  All of
-it is integer arithmetic on forms keyed by edge position (see `polyring`);
-the polynomials `CeresaCocycle.b` and `CZClass.c` are the text boundary.
+it, like the validation of coefficients and the transport along
+contraction and subdivision, is integer arithmetic on forms keyed by edge
+position (see `polyring`); the polynomials `CeresaCocycle.b` and
+`CZClass.c` are the text boundary.
 
 The minor-theoretic classifier ("minor-theorem") decides triviality of the
 graph itself: trivial exactly when there is no K4 or L3 minor.
@@ -39,8 +41,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from math import prod
 from typing import Mapping
@@ -58,28 +61,33 @@ from .minors import (MinorWitness, has_k4_minor_fast, has_minor,
 from .polyring import IntPolynomial, from_form, parse_polynomial, to_form
 
 
-def _validated(ctx: CycleBasisContext, coeffs: Mapping, keys, degree: int,
-               what: str) -> dict[tuple[int, int, int], IntPolynomial]:
+def _validated(ctx: CycleBasisContext, coeffs: Mapping, keys, degree: int, what: str
+               ) -> tuple[dict[tuple[int, int, int], IntPolynomial],
+                          dict[tuple[int, int, int], Form]]:
     """The nonzero coefficients, keyed by keys(g), each a homogeneous
-    polynomial of the given degree in the edge variables of the graph."""
-    legal, edge_ids = set(keys(ctx.g)), {e.id for e in ctx.graph.edges}
-    clean: dict[tuple[int, int, int], IntPolynomial] = {}
+    polynomial of the given degree in the edge variables of the graph; and
+    the same coefficients as forms over the edge positions."""
+    legal = set(keys(ctx.g))
+    # an id that is not an edge reads -1, so a form key that uses one starts with -1
+    pos = defaultdict(lambda: -1, ((e.id, n) for n, e in enumerate(ctx.graph.edges)))
+    polys: dict[tuple[int, int, int], IntPolynomial] = {}
+    forms: dict[tuple[int, int, int], Form] = {}
     for key, poly in coeffs.items():
         key = tuple(int(x) for x in key)
         if key not in legal:
             raise PreconditionError(f"{what} index {key} out of range")
         poly = IntPolynomial.coerce(poly)
-        if poly.is_zero():
+        form = to_form(poly, pos)
+        if not form:
             continue
-        if not poly.is_homogeneous(degree):
+        if any(len(m) != degree for m in form):
             raise PreconditionError(f"{what} coefficient at {key} is not homogeneous "
                                     f"{('linear', 'quadratic')[degree - 1]}: {poly}")
-        stray = poly.variables() - edge_ids
-        if stray:
-            raise PreconditionError(
-                f"{what} coefficient at {key} uses unknown edges {sorted(stray)}")
-        clean[key] = poly
-    return clean
+        if any(m[0] < 0 for m in form):
+            stray = sorted(v for v in poly.variables() if pos[v] < 0)
+            raise PreconditionError(f"{what} coefficient at {key} uses unknown edges {stray}")
+        polys[key], forms[key] = poly, form
+    return polys, forms
 
 
 @dataclass(frozen=True)
@@ -87,14 +95,19 @@ class CeresaCocycle:
     """Representative v with coefficients b[(i, j, k)] on a_i^b_j^b_k, j < k.
 
     Every coefficient must be a homogeneous linear form in the edge
-    variables of the context's graph.
+    variables of the context's graph.  `forms` holds them as forms over the
+    edge positions, for the class and the transport.
     """
 
     context: CycleBasisContext
     b: Mapping[tuple[int, int, int], IntPolynomial]
+    forms: Mapping[tuple[int, int, int], Form] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "b", _validated(self.context, self.b, abb_keys, 1, "cocycle"))
+        b, forms = _validated(self.context, self.b, abb_keys, 1, "cocycle")
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "forms", forms)
 
     @property
     def graph(self) -> MultiGraph:
@@ -106,9 +119,8 @@ class CeresaCocycle:
         once per cocycle; `compute_w` returns it."""
         ctx = self.context
         names = [e.id for e in ctx.graph.edges]
-        pos = {v: n for n, v in enumerate(names)}
-        forms = image1_forms(ctx.q_forms, {key: to_form(p, pos) for key, p in self.b.items()})
-        return CZClass(ctx, {t: from_form(f, names) for t, f in forms.items()}, forms)
+        forms = image1_forms(ctx.q_forms, self.forms)
+        return CZClass(ctx, {t: from_form(f, names) for t, f in forms.items()})
 
     def is_zero(self) -> bool:
         return not self.b
@@ -142,19 +154,17 @@ class CeresaCocycle:
 class CZClass:
     """Class w with coefficients c[(r, s, t)] on b_r^b_s^b_t, r < s < t,
     homogeneous quadratic in the edge variables.  The decisions read them
-    as `forms` over the edge positions, which are read off c if not given."""
+    as `forms` over the edge positions."""
 
     context: CycleBasisContext
     c: Mapping[tuple[int, int, int], IntPolynomial]
-    forms: Mapping[tuple[int, int, int], Form] | None = field(
-        default=None, compare=False, repr=False)
+    forms: Mapping[tuple[int, int, int], Form] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        clean = _validated(self.context, self.c, triple_indices, 2, "class")
-        object.__setattr__(self, "c", clean)
-        if self.forms is None:
-            pos = {e.id: n for n, e in enumerate(self.context.graph.edges)}
-            object.__setattr__(self, "forms", {key: to_form(p, pos) for key, p in clean.items()})
+        c, forms = _validated(self.context, self.c, triple_indices, 2, "class")
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "forms", forms)
 
     def is_zero(self) -> bool:
         return not self.c
@@ -206,8 +216,6 @@ def _jsonable(obj):
         return {_key_str(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: _key_str(kv[0]))}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, IntPolynomial):
-        return str(obj)
     return obj
 
 
@@ -228,6 +236,7 @@ def compute_w(v: CeresaCocycle) -> CZClass:
 # -- the squared-twist kernel ------------------------------------------------
 
 
+@cache
 def _twist_pattern(g: int) -> tuple[tuple[int, int, int, int], ...]:
     """Where the squared-twist generators are nonzero, at genus g.
 
@@ -423,10 +432,11 @@ def is_cz_trivial_curve(curve: TropicalCurve, v: CeresaCocycle) -> TrivialityVer
 def pushforward_contract(v: CeresaCocycle, edge_id: str) -> CeresaCocycle:
     """Transport the cocycle along contraction of a non-loop tree edge.
 
-    Kills the contracted variable in every coefficient and rebuilds the
-    context on the contracted graph with the induced tree, so the basis
-    cycles and indices carry over unchanged.  Commutes with taking classes:
-    killing the variable before or after (delta - I) gives the same result.
+    Kills the contracted variable, x_f -> 0, by dropping its position from
+    every coefficient's linear form, and rebuilds the context on the
+    contracted graph with the induced tree, so the basis cycles and indices
+    carry over unchanged.  Commutes with taking classes: killing the
+    variable before or after (delta - I) gives the same result.
     """
     edge_id = str(edge_id)
     ctx = v.context
@@ -441,7 +451,10 @@ def pushforward_contract(v: CeresaCocycle, edge_id: str) -> CeresaCocycle:
     new_tree = [t for t in ctx.tree if t != edge_id]
     new_ctx = build_cycle_context(contracted, tree_hint=new_tree,
                                   basis_order=ctx.basis_edges())
-    new_b = {key: poly.substitute(edge_id, 0) for key, poly in v.b.items()}
+    names = [e.id for e in ctx.graph.edges]
+    gone = (names.index(edge_id),)
+    new_b = {key: from_form({m: c for m, c in form.items() if m != gone}, names)
+             for key, form in v.forms.items()}
     return CeresaCocycle(new_ctx, new_b)
 
 
@@ -450,14 +463,15 @@ def pushforward_subdivide(v: CeresaCocycle, edge_id: str) -> CeresaCocycle:
 
     The halves are named <id>a and <id>b; the first half takes over the
     edge's role (basis slot or tree membership) and the second half joins
-    the tree.  Coefficients substitute x_f -> x_fa + x_fb.
+    the tree.  Coefficients substitute x_f -> x_fa + x_fb: in each linear
+    form the edge's position is renamed <id>a and its coefficient copied to
+    a new position <id>b.
     """
     edge_id = str(edge_id)
     ctx = v.context
     ctx.graph.edge(edge_id)
     id1, id2 = edge_id + "a", edge_id + "b"
     divided = subdivide_edge(ctx.graph, edge_id)
-    replacement = IntPolynomial.variable(id1) + IntPolynomial.variable(id2)
     if edge_id in ctx.tree:
         new_tree = [t for t in ctx.tree if t != edge_id] + [id1, id2]
         new_basis = list(ctx.basis_edges())
@@ -465,7 +479,10 @@ def pushforward_subdivide(v: CeresaCocycle, edge_id: str) -> CeresaCocycle:
         new_tree = list(ctx.tree) + [id2]
         new_basis = [id1 if b == edge_id else b for b in ctx.basis_edges()]
     new_ctx = build_cycle_context(divided, tree_hint=new_tree, basis_order=new_basis)
-    new_b = {key: poly.substitute(edge_id, replacement) for key, poly in v.b.items()}
+    names = [id1 if e.id == edge_id else e.id for e in ctx.graph.edges] + [id2]
+    split, half = (names.index(id1),), (len(names) - 1,)
+    new_b = {key: from_form(form | {half: form[split]} if split in form else form, names)
+             for key, form in v.forms.items()}
     return CeresaCocycle(new_ctx, new_b)
 
 

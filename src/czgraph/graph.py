@@ -534,10 +534,14 @@ class TropicalCurve:
 
 
 def specialize_Q(ctx: CycleBasisContext, curve: TropicalCurve) -> list[list[int]]:
-    """Evaluate Q at the curve's edge lengths; positive definite integer matrix."""
+    """Q at the curve's edge lengths, a positive definite integer matrix:
+    each linear form of `q_forms` summed against the lengths by edge
+    position."""
     if curve.graph != ctx.graph:
         raise PreconditionError("curve does not match the context's graph")
-    return [[entry.evaluate(curve.lengths) for entry in row] for row in ctx.Q]
+    lengths = [curve.lengths[e.id] for e in ctx.graph.edges]
+    return [[sum(c * lengths[p] for (p,), c in form.items()) for form in row]
+            for row in ctx.q_forms]
 
 
 # -- text and JSON formats -------------------------------------------------

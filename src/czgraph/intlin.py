@@ -1,13 +1,14 @@
-"""Exact integer linear algebra: the Hermite normal form, lattice bases and
-membership, and Diophantine systems with certificates.
+"""Exact integer linear algebra: lattice bases and membership, and
+Diophantine systems with certificates.
 
 Every decision runs one fraction-free elimination over Python ints,
 `_echelon` (Cohen, A Course in Computational Algebraic Number Theory, 2.4),
 with no modular or floating-point shortcuts, since certificates replay
-exactly.  It carries any columns past the eliminated ones along, so a caller
-that needs the unimodular transform eliminates [A | I] and one that needs
-only the basis eliminates A.  The curve-level systems are the largest in
-use: A^T is 224 x 56 at genus 8.
+exactly.  It brings rows to Hermite normal form and carries any columns
+past the eliminated ones along: `solve_diophantine` eliminates [A^T | I] to
+read a solution off the transform, and `hnf_basis` eliminates the bare
+rows.  The curve-level systems are the largest in use: A^T is 224 x 56 at
+genus 8.
 """
 
 from __future__ import annotations
@@ -111,20 +112,6 @@ def _echelon(rows: list[list[int]], n: int) -> int:
                     rows[i] = [a - q * b for a, b in zip(rows[i], pivot)]
             r += 1
     return r
-
-
-def hermite_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
-
-    Returns (H, U) with H = U*A, U unimodular, H in row echelon form with
-    positive pivots and entries above each pivot reduced into [0, pivot).
-    The nonzero rows of H are a basis of the row lattice of A.
-    """
-    m, n = A.rows, A.cols
-    rows = [A.row(i) + [int(i == j) for j in range(m)] for i in range(m)]
-    _echelon(rows, n)
-    return (IntMatrix.from_rows([row[:n] for row in rows], cols=n),
-            IntMatrix.from_rows([row[n:] for row in rows]))
 
 
 def hnf_basis(vectors: Iterable[Sequence[int]]) -> list[list[int]]:

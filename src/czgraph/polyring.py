@@ -6,12 +6,15 @@ ring is Z[x_e : e an edge id].  The text form reads back only for ids made of
 ASCII letters, digits and underscores (`is_variable_name`); the graph
 parsers reject any other edge id.  Coefficients are Python ints, hence
 arbitrary precision; all operations are exact and return canonical
-polynomials (no zero coefficients stored).
+polynomials (no zero coefficients stored).  The ring arithmetic serves the
+element-level maps of `extalg` and the benchmark's pool builder.
 
-The decisions compute on forms instead: a form maps the sorted positions of
-a monomial's variables, with repetition, to its coefficient, so over the
-edges 1, 2, 3, x1*x3 - 2*x3^2 is {(0, 2): 1, (2, 2): -2}.  `to_form` and
-`from_form` convert at the boundary.
+The validation, the decisions and the transport along contraction and
+subdivision compute on forms instead: a form maps the sorted positions of a
+monomial's variables, with repetition, to its coefficient, so over the
+edges 1, 2, 3, x1*x3 - 2*x3^2 is {(0, 2): 1, (2, 2): -2}, and a monomial's
+degree is the length of its key.  `to_form` and `from_form` convert at the
+boundary.
 
 Polynomials are immutable values: every operation returns a new object and
 instances may be shared freely between threads.
@@ -27,10 +30,6 @@ from functools import total_ordering
 
 class PolynomialError(ValueError):
     pass
-
-
-class MissingVariableError(PolynomialError):
-    """Raised when evaluating a polynomial with an incomplete assignment."""
 
 
 _RUN_RE = re.compile(r"\d+|\D+")
@@ -81,9 +80,6 @@ class Monomial:
     @property
     def factors(self) -> tuple[tuple[str, int], ...]:
         return self._factors
-
-    def degree(self) -> int:
-        return sum(e for _, e in self._factors)
 
     def variables(self) -> set[str]:
         return {v for v, _ in self._factors}
@@ -174,20 +170,8 @@ class IntPolynomial:
     def terms(self) -> dict[Monomial, int]:
         return dict(self._terms)
 
-    def coefficient(self, mono: Monomial) -> int:
-        return self._terms.get(mono, 0)
-
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        """True if all terms share one total degree (vacuously true for 0)."""
-        degrees = {m.degree() for m in self._terms}
-        if not degrees:
-            return True
-        if len(degrees) > 1:
-            return False
-        return degree is None or degrees == {degree}
 
     def variables(self) -> set[str]:
         out: set[str] = set()
@@ -233,49 +217,6 @@ class IntPolynomial:
         return IntPolynomial(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "IntPolynomial":
-        if n < 0:
-            raise PolynomialError("negative powers are not defined")
-        result = IntPolynomial.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
-    # -- evaluation and substitution ------------------------------------
-
-    def evaluate(self, assignment: Mapping[str, int]) -> int:
-        """Apply the ring homomorphism x_e -> assignment[e].
-
-        Every variable occurring in the polynomial must be assigned.
-        """
-        total = 0
-        for mono, coeff in self._terms.items():
-            value = coeff
-            for var, exp in mono.factors:
-                if var not in assignment:
-                    raise MissingVariableError(f"no value for variable x{var}")
-                value *= int(assignment[var]) ** exp
-            total += value
-        return total
-
-    def substitute(self, var: str, replacement) -> "IntPolynomial":
-        """Ring homomorphism sending x_var to `replacement`, fixing the rest.
-
-        substitute(var, 0) kills every term containing the variable;
-        substitute(var, x_a + x_b) realizes an edge subdivision.
-        """
-        var = str(var)
-        replacement = IntPolynomial.coerce(replacement)
-        out = IntPolynomial.zero()
-        for mono, coeff in self._terms.items():
-            exps = dict(mono.factors)
-            exp = exps.pop(var, 0)
-            part = IntPolynomial({Monomial(exps): coeff})
-            if exp:
-                part = part * (replacement ** exp)
-            out = out + part
-        return out
 
     # -- identity ------------------------------------------------------
 

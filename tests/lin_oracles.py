@@ -3,6 +3,8 @@
 None of this is on a decision path; it is kept because each piece is an
 independent route to a fact the solver also establishes:
 
+* `hermite_normal_form`: the library's elimination run on [A | I], which
+  returns the unimodular transform along with the Hermite form;
 * `determinant`: fraction-free (Bareiss) elimination, used to check that
   transforms are unimodular and that lattice indices match HNF pivots;
 * `identity` and `zeros`: the identity and the zero `IntMatrix`;
@@ -14,7 +16,7 @@ independent route to a fact the solver also establishes:
 
 from __future__ import annotations
 
-from czgraph.intlin import DimensionError, IntMatrix, hermite_normal_form
+from czgraph.intlin import DimensionError, IntMatrix, _echelon
 
 
 def identity(n: int) -> IntMatrix:
@@ -35,6 +37,20 @@ def matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
         for j in range(B.cols):
             out.append(sum(ri[k] * B[k, j] for k in range(A.cols)))
     return IntMatrix(A.rows, B.cols, out)
+
+
+def hermite_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row-style Hermite normal form.
+
+    Returns (H, U) with H = U*A, U unimodular, H in row echelon form with
+    positive pivots and entries above each pivot reduced into [0, pivot).
+    The nonzero rows of H are a basis of the row lattice of A.
+    """
+    m, n = A.rows, A.cols
+    rows = [A.row(i) + [int(i == j) for j in range(m)] for i in range(m)]
+    _echelon(rows, n)
+    return (IntMatrix.from_rows([row[:n] for row in rows], cols=n),
+            IntMatrix.from_rows([row[n:] for row in rows]))
 
 
 def kernel_basis(A: IntMatrix) -> list[list[int]]:

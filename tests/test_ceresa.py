@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,10 @@ from czgraph.extalg import (HElement, LElement, aab_keys, aab_to_l_element,
                             alpha, beta, delta_G_minus_I_L, image2_coeffs,
                             triple_indices)
 from czgraph.graph import (MultiGraph, PreconditionError, TropicalCurve,
-                           build_cycle_context, genus, load_graph_file)
+                           build_cycle_context, genus, load_graph_file,
+                           specialize_Q)
 from czgraph.intlin import IntMatrix, solve_diophantine
+from czgraph.minors import is_hyperelliptic_type
 from czgraph.polyring import IntPolynomial
 from czgraph.polyring import parse_polynomial as P
 
@@ -25,6 +28,7 @@ from conftest import (random_aab_map, random_abb_map, random_multigraph,
                       random_spanning_tree)
 from ceresa_oracles import psi_system, solve_psi
 from extalg_oracles import psi_G, wedge_with_omega
+from poly_oracles import evaluate, substitute
 
 NEG2X2X5 = P("-2*x2*x5")
 NEG2X5X6 = P("-2*x5*x6")
@@ -210,8 +214,8 @@ def _oracle_system(ctx, w):
     rows, rhs = [], []
     for tr in triple_indices(ctx.g):
         for m in monos:
-            rows.append([gen.get(tr, zero).coefficient(m) for gen in gens])
-            rhs.append(w.c.get(tr, zero).coefficient(m))
+            rows.append([gen.get(tr, zero).terms.get(m, 0) for gen in gens])
+            rhs.append(w.c.get(tr, zero).terms.get(m, 0))
     return gens, rows, rhs
 
 
@@ -255,7 +259,7 @@ def test_kernel_matches_image2_oracle():
             curve = TropicalCurve(graph, lengths)
             specialized = _specialized_generators(ctx, curve)
             for key, gen in zip(aab_keys(ctx.g), gens):
-                assert specialized[key] == [gen.get(tr, zero).evaluate(lengths)
+                assert specialized[key] == [evaluate(gen.get(tr, zero), lengths)
                                             for tr in triple_indices(ctx.g)]
             verdict = is_cz_trivial_curve(curve, v) if v is not None else None
             if verdict is not None and not verdict.trivial:
@@ -357,7 +361,7 @@ def test_pushforward_contract_commutes_on_k4():
     for tree_edge in ("4", "5", "6"):
         moved = pushforward_contract(V_TAU_K4, tree_edge)
         lhs = compute_w(moved).c
-        rhs = {key: poly.substitute(tree_edge, 0)
+        rhs = {key: substitute(poly, tree_edge, 0)
                for key, poly in compute_w(V_TAU_K4).c.items()}
         rhs = {k: p for k, p in rhs.items() if not p.is_zero()}
         assert lhs == rhs
@@ -403,7 +407,7 @@ def test_pushforward_subdivide_commutes():
         f = rng.choice([e.id for e in g.edges])
         moved = pushforward_subdivide(v, f)
         repl = IntPolynomial.variable(f + "a") + IntPolynomial.variable(f + "b")
-        expect = {key: poly.substitute(f, repl)
+        expect = {key: substitute(poly, f, repl)
                   for key, poly in compute_w(v).c.items()}
         expect = {k: p for k, p in expect.items() if not p.is_zero()}
         assert compute_w(moved).c == expect
@@ -445,10 +449,10 @@ def test_subdivision_keeps_verdicts_on_random_cocycles():
 
 
 def test_decisions_do_no_polynomial_arithmetic(monkeypatch):
-    """Once the cocycle is parsed, the class, both verdicts and the
-    specialization compute on integer forms: on pool-g5-1 with either
-    cocycle, no IntPolynomial is added, negated, multiplied, substituted
-    into or evaluated."""
+    """Once the cocycle is parsed, the class, both verdicts, the
+    specialization of Q and the transport along contraction and subdivision
+    compute on integer forms: on pool-g5-1 with either cocycle, no
+    IntPolynomial is added, negated or multiplied."""
     inputs = Path(__file__).resolve().parent / "golden" / "inputs"
     _, lengths = load_graph_file(str(inputs / "pool-g5-1-curve.txt"))
     cocycles = [CeresaCocycle.from_json_dict(json.loads(
@@ -456,17 +460,25 @@ def test_decisions_do_no_polynomial_arithmetic(monkeypatch):
         for kind in ("trivial", "random")]
     calls = []
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
-                 "__mul__", "__rmul__", "__pow__", "substitute", "evaluate"):
+                 "__mul__", "__rmul__"):
         monkeypatch.setattr(IntPolynomial, name,
                             lambda *args, _name=name, _real=getattr(IntPolynomial, name):
                             calls.append(_name) or _real(*args))
-    verdicts = []
+    verdicts, moved = [], 0
     for v in cocycles:
         compute_w(v)
+        curve = TropicalCurve(v.graph, lengths)
         verdicts.append(is_cz_trivial_graph(v.graph, v).trivial)
-        verdicts.append(is_cz_trivial_curve(TropicalCurve(v.graph, lengths), v).trivial)
+        verdicts.append(is_cz_trivial_curve(curve, v).trivial)
+        specialize_Q(v.context, curve)
+        for f in v.context.tree:
+            if not v.graph.edge(f).is_loop():
+                moved += not compute_w(pushforward_contract(v, f)).is_zero()
+        for e in v.graph.edges:
+            moved += not compute_w(pushforward_subdivide(v, e.id)).is_zero()
     assert calls == []
     assert verdicts == [True, True, False, False]
+    assert moved > 0
 
 
 def test_pushforward_contract_commutes_random():
@@ -481,7 +493,7 @@ def test_pushforward_contract_commutes_random():
         v = CeresaCocycle(ctx, random_abb_map(rng, ctx, density=0.4))
         f = rng.choice(tree_nonloop)
         moved = pushforward_contract(v, f)
-        expect = {key: poly.substitute(f, 0)
+        expect = {key: substitute(poly, f, 0)
                   for key, poly in compute_w(v).c.items()}
         expect = {k: p for k, p in expect.items() if not p.is_zero()}
         assert compute_w(moved).c == expect
@@ -493,7 +505,7 @@ def test_subdivide_then_contract_half_round_trips():
     back = pushforward_contract(moved, "5b")
     # the remaining half keeps the subdivided edge's role under the new name
     assert back.context.g == 3
-    renamed = {key: poly.substitute("5", P("x5a"))
+    renamed = {key: substitute(poly, "5", P("x5a"))
                for key, poly in V_TAU_K4.b.items()}
     assert back.b == renamed
 
@@ -521,6 +533,39 @@ def test_classify_two_k4_blocks():
     verdict = classify(g)
     assert not verdict.trivial
     assert verdict.witness.verify(g)
+
+
+def _relabelled(g, rng):
+    """An isomorphic copy with new vertex names and edge ids, each in a
+    randomly chosen id style, and randomly flipped orientations."""
+    styles = ("{}", "0{}", "{}a", "e{}", "x_{}")
+    verts = sorted(g.vertices)
+    numbers = rng.sample(range(1, 4 * len(verts) + 1), len(verts))
+    rename = {v: rng.choice(styles).format(n) for v, n in zip(verts, numbers)}
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    return MultiGraph(rename.values(), [
+        (rng.choice(styles).format(i),
+         *((rename[e.head], rename[e.tail]) if rng.random() < 0.5
+           else (rename[e.tail], rename[e.head])))
+        for i, e in enumerate(edges, start=1)])
+
+
+def test_classify_is_invariant_under_relabelling():
+    """Relabelling the vertices and edges of a graph, with mixed id styles,
+    changes neither the classify verdict nor hyperelliptic type, and every
+    non-trivial verdict's witness replays on the graph it was found on."""
+    rng = random.Random(41)
+    seen = Counter()
+    for n in range(40):
+        g = random_multigraph(rng, 3 + n % 4)
+        trivial, hyperelliptic = classify(g).trivial, is_hyperelliptic_type(g)
+        for h in [g] + [_relabelled(g, rng) for _ in range(2)]:
+            verdict = classify(h)
+            assert (verdict.trivial, is_hyperelliptic_type(h)) == (trivial, hyperelliptic)
+            assert verdict.trivial or verdict.witness.verify(h)
+        seen[trivial] += 1
+    assert seen[True] and seen[False], seen
 
 
 def test_classify_requires_genus_two():

@@ -3,11 +3,11 @@ from itertools import product
 
 import pytest
 
-from czgraph.intlin import (DimensionError, IntMatrix, hermite_normal_form,
-                            hnf_basis, lattice_membership, solve_diophantine)
+from czgraph.intlin import (DimensionError, IntMatrix, hnf_basis,
+                            lattice_membership, solve_diophantine)
 
-from lin_oracles import (determinant, identity, kernel_basis, matmul,
-                         smith_normal_form, zeros)
+from lin_oracles import (determinant, hermite_normal_form, identity,
+                         kernel_basis, matmul, smith_normal_form, zeros)
 
 L3_GENS = [[2, 2, 0, 2], [0, 4, 0, 0], [0, 0, 2, 2], [0, 0, 0, 4]]
 
