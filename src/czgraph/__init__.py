@@ -6,11 +6,9 @@ a symplectic lattice, and decides triviality of Ceresa-Zharkov classes three
 ways: integer-linear feasibility over polynomial coefficients (Hermite normal
 form), lattice membership at integer edge lengths, and the forbidden-minor
 characterization (no K4 or L3 minor).  Reference implementations that only
-serve as cross-checks live with the tests, in `tests/*_oracles.py`: the
-Hermite normal form with its transform, the Smith normal form,
-determinants and the integer kernel; polynomial substitution, powers and
-evaluation; the naive minor search; the graph-level psi system and the
-element-level psi map.
+serve as cross-checks (the HNF with its transform, Smith normal form,
+determinants, polynomial substitution and evaluation, the naive minor search
+and the psi constructions) live with the tests, in `tests/*_oracles.py`.
 """
 
 __version__ = "0.1.0"

@@ -28,9 +28,8 @@ pivots on, so the solution and certificate are the same as the full
 system's.  The class is `extalg.image1_forms` of the cocycle, and every
 trivial graph-level verdict is replayed through `extalg.image2_forms`, the
 3x3-determinant closed form, derived independently of the kernel.  All of
-it, like the validation of coefficients and the transport along
-contraction and subdivision, is integer arithmetic on forms keyed by edge
-position (see `polyring`); the polynomials `CeresaCocycle.b` and
+it, the validation and the transport are integer arithmetic on forms keyed
+by edge position (see `polyring`); the polynomials `CeresaCocycle.b` and
 `CZClass.c` are the text boundary.
 
 The minor-theoretic classifier ("minor-theorem") decides triviality of the
@@ -64,14 +63,12 @@ from .polyring import IntPolynomial, from_form, parse_polynomial, to_form
 def _validated(ctx: CycleBasisContext, coeffs: Mapping, keys, degree: int, what: str
                ) -> tuple[dict[tuple[int, int, int], IntPolynomial],
                           dict[tuple[int, int, int], Form]]:
-    """The nonzero coefficients, keyed by keys(g), each a homogeneous
-    polynomial of the given degree in the edge variables of the graph; and
-    the same coefficients as forms over the edge positions."""
+    """The nonzero coefficients, keyed by keys(g), as homogeneous polynomials
+    of the given degree in the graph's edge variables, and as forms."""
     legal = set(keys(ctx.g))
     # an id that is not an edge reads -1, so a form key that uses one starts with -1
     pos = defaultdict(lambda: -1, ((e.id, n) for n, e in enumerate(ctx.graph.edges)))
-    polys: dict[tuple[int, int, int], IntPolynomial] = {}
-    forms: dict[tuple[int, int, int], Form] = {}
+    polys, forms = {}, {}
     for key, poly in coeffs.items():
         key = tuple(int(x) for x in key)
         if key not in legal:
@@ -95,8 +92,7 @@ class CeresaCocycle:
     """Representative v with coefficients b[(i, j, k)] on a_i^b_j^b_k, j < k.
 
     Every coefficient must be a homogeneous linear form in the edge
-    variables of the context's graph.  `forms` holds them as forms over the
-    edge positions, for the class and the transport.
+    variables of the context's graph; `forms` holds them over edge positions.
     """
 
     context: CycleBasisContext
@@ -117,10 +113,9 @@ class CeresaCocycle:
     def cz_class(self) -> CZClass:
         """The class (delta_G - I)(v) via the closed form on forms, computed
         once per cocycle; `compute_w` returns it."""
-        ctx = self.context
-        names = [e.id for e in ctx.graph.edges]
-        forms = image1_forms(ctx.q_forms, self.forms)
-        return CZClass(ctx, {t: from_form(f, names) for t, f in forms.items()})
+        names = [e.id for e in self.graph.edges]
+        forms = image1_forms(self.context.q_forms, self.forms)
+        return CZClass(self.context, {t: from_form(f, names) for t, f in forms.items()})
 
     def is_zero(self) -> bool:
         return not self.b
@@ -432,11 +427,11 @@ def is_cz_trivial_curve(curve: TropicalCurve, v: CeresaCocycle) -> TrivialityVer
 def pushforward_contract(v: CeresaCocycle, edge_id: str) -> CeresaCocycle:
     """Transport the cocycle along contraction of a non-loop tree edge.
 
-    Kills the contracted variable, x_f -> 0, by dropping its position from
-    every coefficient's linear form, and rebuilds the context on the
-    contracted graph with the induced tree, so the basis cycles and indices
-    carry over unchanged.  Commutes with taking classes: killing the
-    variable before or after (delta - I) gives the same result.
+    Drops the contracted edge's position from every coefficient's form
+    (x_f -> 0) and rebuilds the context on the contracted graph with the
+    induced tree, so the basis cycles and indices carry over unchanged.
+    Commutes with taking classes: killing the variable before or after
+    (delta - I) gives the same result.
     """
     edge_id = str(edge_id)
     ctx = v.context
@@ -463,9 +458,8 @@ def pushforward_subdivide(v: CeresaCocycle, edge_id: str) -> CeresaCocycle:
 
     The halves are named <id>a and <id>b; the first half takes over the
     edge's role (basis slot or tree membership) and the second half joins
-    the tree.  Coefficients substitute x_f -> x_fa + x_fb: in each linear
-    form the edge's position is renamed <id>a and its coefficient copied to
-    a new position <id>b.
+    the tree.  Coefficients substitute x_f -> x_fa + x_fb: each form's
+    position of f is renamed <id>a, and its coefficient copied to <id>b.
     """
     edge_id = str(edge_id)
     ctx = v.context

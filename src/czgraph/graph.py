@@ -534,14 +534,11 @@ class TropicalCurve:
 
 
 def specialize_Q(ctx: CycleBasisContext, curve: TropicalCurve) -> list[list[int]]:
-    """Q at the curve's edge lengths, a positive definite integer matrix:
-    each linear form of `q_forms` summed against the lengths by edge
-    position."""
+    """Q's forms at the curve's edge lengths; positive definite integer matrix."""
     if curve.graph != ctx.graph:
         raise PreconditionError("curve does not match the context's graph")
     lengths = [curve.lengths[e.id] for e in ctx.graph.edges]
-    return [[sum(c * lengths[p] for (p,), c in form.items()) for form in row]
-            for row in ctx.q_forms]
+    return [[sum(c * lengths[p] for (p,), c in f.items()) for f in row] for row in ctx.q_forms]
 
 
 # -- text and JSON formats -------------------------------------------------

@@ -6,15 +6,14 @@ ring is Z[x_e : e an edge id].  The text form reads back only for ids made of
 ASCII letters, digits and underscores (`is_variable_name`); the graph
 parsers reject any other edge id.  Coefficients are Python ints, hence
 arbitrary precision; all operations are exact and return canonical
-polynomials (no zero coefficients stored).  The ring arithmetic serves the
+polynomials (no zero coefficients stored).  The arithmetic serves the
 element-level maps of `extalg` and the benchmark's pool builder.
 
-The validation, the decisions and the transport along contraction and
-subdivision compute on forms instead: a form maps the sorted positions of a
-monomial's variables, with repetition, to its coefficient, so over the
-edges 1, 2, 3, x1*x3 - 2*x3^2 is {(0, 2): 1, (2, 2): -2}, and a monomial's
-degree is the length of its key.  `to_form` and `from_form` convert at the
-boundary.
+The validation, the decisions and the transport compute on forms instead: a
+form maps the sorted positions of a monomial's variables, with repetition,
+to its coefficient (its key's length is its degree), so over the edges 1, 2,
+3, x1*x3 - 2*x3^2 is {(0, 2): 1, (2, 2): -2}.  `to_form` and `from_form`
+convert at the boundary.
 
 Polynomials are immutable values: every operation returns a new object and
 instances may be shared freely between threads.

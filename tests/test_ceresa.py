@@ -1,6 +1,5 @@
 import json
 import random
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,7 +19,6 @@ from czgraph.graph import (MultiGraph, PreconditionError, TropicalCurve,
                            build_cycle_context, genus, load_graph_file,
                            specialize_Q)
 from czgraph.intlin import IntMatrix, solve_diophantine
-from czgraph.minors import is_hyperelliptic_type
 from czgraph.polyring import IntPolynomial
 from czgraph.polyring import parse_polynomial as P
 
@@ -213,9 +211,10 @@ def _oracle_system(ctx, w):
                    | {m for p in w.c.values() for m in p.terms})
     rows, rhs = [], []
     for tr in triple_indices(ctx.g):
+        cols, target = [gen.get(tr, zero).terms for gen in gens], w.c.get(tr, zero).terms
         for m in monos:
-            rows.append([gen.get(tr, zero).terms.get(m, 0) for gen in gens])
-            rhs.append(w.c.get(tr, zero).terms.get(m, 0))
+            rows.append([col.get(m, 0) for col in cols])
+            rhs.append(target.get(m, 0))
     return gens, rows, rhs
 
 
@@ -533,39 +532,6 @@ def test_classify_two_k4_blocks():
     verdict = classify(g)
     assert not verdict.trivial
     assert verdict.witness.verify(g)
-
-
-def _relabelled(g, rng):
-    """An isomorphic copy with new vertex names and edge ids, each in a
-    randomly chosen id style, and randomly flipped orientations."""
-    styles = ("{}", "0{}", "{}a", "e{}", "x_{}")
-    verts = sorted(g.vertices)
-    numbers = rng.sample(range(1, 4 * len(verts) + 1), len(verts))
-    rename = {v: rng.choice(styles).format(n) for v, n in zip(verts, numbers)}
-    edges = list(g.edges)
-    rng.shuffle(edges)
-    return MultiGraph(rename.values(), [
-        (rng.choice(styles).format(i),
-         *((rename[e.head], rename[e.tail]) if rng.random() < 0.5
-           else (rename[e.tail], rename[e.head])))
-        for i, e in enumerate(edges, start=1)])
-
-
-def test_classify_is_invariant_under_relabelling():
-    """Relabelling the vertices and edges of a graph, with mixed id styles,
-    changes neither the classify verdict nor hyperelliptic type, and every
-    non-trivial verdict's witness replays on the graph it was found on."""
-    rng = random.Random(41)
-    seen = Counter()
-    for n in range(40):
-        g = random_multigraph(rng, 3 + n % 4)
-        trivial, hyperelliptic = classify(g).trivial, is_hyperelliptic_type(g)
-        for h in [g] + [_relabelled(g, rng) for _ in range(2)]:
-            verdict = classify(h)
-            assert (verdict.trivial, is_hyperelliptic_type(h)) == (trivial, hyperelliptic)
-            assert verdict.trivial or verdict.witness.verify(h)
-        seen[trivial] += 1
-    assert seen[True] and seen[False], seen
 
 
 def test_classify_requires_genus_two():

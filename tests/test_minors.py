@@ -217,6 +217,28 @@ def relabeled(g, rng):
                               for i, e in enumerate(edges, start=1)])
 
 
+def test_classify_is_invariant_under_relabelling():
+    """Relabelling a graph, with its vertex and edge ids in mixed styles,
+    changes neither the classify verdict nor hyperelliptic type, and every
+    non-trivial verdict's witness replays on the graph it was found on."""
+    rng = random.Random(41)
+    styles = ("{}", "0{}", "{}a", "e{}", "x_{}")
+    seen = Counter()
+    for n in range(40):
+        g = random_multigraph(rng, 3 + n % 4, max_vertices=8)
+        trivial, hyperelliptic = classify(g).trivial, is_hyperelliptic_type(g)
+        for h in [g] + [relabeled(g, rng) for _ in range(2)]:
+            name = {v: rng.choice(styles).format(i)
+                    for i, v in enumerate(h.sorted_vertices(), start=1)}
+            h = MultiGraph(name.values(), [(rng.choice(styles).format(e.id),
+                                            name[e.tail], name[e.head]) for e in h.edges])
+            verdict = classify(h)
+            assert (verdict.trivial, is_hyperelliptic_type(h)) == (trivial, hyperelliptic)
+            assert verdict.trivial or verdict.witness.verify(h)
+        seen[trivial] += 1
+    assert seen[True] and seen[False], seen
+
+
 def prism(n):
     """The circular ladder C_n x K_2: cubic on 2n vertices."""
     rims = [(f"{s}{i}", f"{s}{(i + 1) % n}") for s in "uw" for i in range(n)]
