@@ -8,6 +8,8 @@ hyperelliptic type exactly when it has neither as a minor.
 The witness walk rests on an exact decision that searches nothing.  K4 is
 decided by series-parallel reduction (a graph has no K4 minor exactly when
 it is series-parallel, Duffin 1965), and L3 block by block (`_contains`).
+Hyperelliptic type needs no witness; one reduction per block decides "K4
+or L3" (`is_hyperelliptic_type`).
 
 A witness is found by a guided walk on the unreduced graph: each step scans
 the single-step minors in a fixed order and moves to the first one the
@@ -16,6 +18,10 @@ connected minor, so the walk never stalls and returns the same operations
 as a depth-first search over that order would.
 
 Canonical forms use individualization-refinement (McKay-Piperno 2014).
+Enumeration is orderly and uses neither them nor a set of seen classes: it
+keeps, of each class, the degree-ordered labelling whose slot vector is
+maximal, and emits classes in the walk order of those labellings
+(`enumerate_graphs`).
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from typing import Iterator
 from .graph import (Edge, GraphError, InvariantError, MultiGraph,
                     PreconditionError, _without, block_parts, bridges,
                     contract_edge, delete_edge, genus)
-from .polyring import idkey
 
 PATTERNS = ("K4", "L3")
 
@@ -154,7 +159,7 @@ def has_k4_minor_fast(g: MultiGraph) -> bool:
                 del adj[v]
                 changed = True
             elif deg == 2:
-                a, b = sorted(adj[v], key=idkey)
+                a, b = adj[v]
                 adj[a].discard(v)
                 adj[b].discard(v)
                 del adj[v]
@@ -239,7 +244,8 @@ def _contains(g: MultiGraph, pattern: str) -> bool:
 
 def _block_contains_l3(vs: frozenset[str], es: list[Edge]) -> bool:
     """L3 test on a block of genus >= 4, given as its vertex set and its
-    edges (a `block_parts` entry), by one series-parallel reduction.
+    edges (a `block_parts` entry), by one series-parallel reduction.  On a
+    block of genus 3 it is the K4 test (`is_hyperelliptic_type`).
 
     An element's t counts the thick pieces (parallel steps' results) in its
     series chain: the virtual edges it holds of its cycle node.  An edge has
@@ -300,8 +306,18 @@ def has_minor(g: MultiGraph, pattern: str) -> tuple[bool, MinorWitness | None]:
 
 
 def is_hyperelliptic_type(g: MultiGraph) -> bool:
-    """No K4 and no L3 minor; asks the oracle and builds no witness."""
-    return not (_contains(g, "K4") or _contains(g, "L3"))
+    """No K4 and no L3 minor; one block decomposition, no witness.
+
+    Both patterns are 2-connected, so each is a minor of g iff it is a
+    minor of a block, of genus >= 3 for K4 and >= 4 for L3.  On such a
+    block `_block_contains_l3` answers "K4 or L3": it returns True on a
+    stall, which leaves a K4 minor, and otherwise only on a cycle node with
+    three virtual edges, which contracts to L3.  At genus 3 the block
+    cannot contain L3, so True means K4; at genus >= 4 a K4 minor implies
+    L3 (`_contains`), so True means L3, the same as "K4 or L3".
+    """
+    return genus(g) < 3 or not any(_block_contains_l3(vs, es) for vs, es in block_parts(g)
+                                   if len(es) - len(vs) + 1 >= 3)
 
 
 # -- enumeration of stable multigraphs --------------------------------------
@@ -368,22 +384,65 @@ def _degree_ordered(n: int, slots: list[tuple[int, int]],
     yield from walk(0, total)
 
 
+def _is_maximal(n: int, slots: list[tuple[int, int]], mult: tuple[int, ...]) -> bool:
+    """Whether no relabelling that permutes vertices within equal-valence
+    blocks gives `mult` a lexicographically greater slot vector.
+
+    Backtracking places p[0], p[1], ... (the old vertex that takes each new
+    label) in order.  Row 0 of the relabelled vector is compared entry by
+    entry as each vertex is placed: a greater entry ends the search, a
+    smaller one skips the branch.  The other rows are compared once p is
+    complete.
+    """
+    a = [[0] * n for _ in range(n)]
+    for (u, v), m in zip(slots, mult):
+        a[u][v] = a[v][u] = m
+    row0 = a[0]
+    val = [sum(row) + row[k] for k, row in enumerate(a)]  # a loop counts twice
+    block = [[w for w in range(n) if val[w] == val[k]] for k in range(n)]
+    rest = list(zip(slots[n:], mult[n:]))  # row 0 is the first n slots
+    p = [0] * n
+    used = [False] * n
+
+    def beaten(k: int) -> bool:
+        if k == n:
+            for (i, j), m in rest:
+                x = a[p[i]][p[j]]
+                if x != m:
+                    return x > m
+            return False
+        for w in block[k]:
+            if used[w]:
+                continue
+            x = a[p[0]][w] if k else a[w][w]
+            if x > row0[k]:
+                return True
+            if x == row0[k]:
+                p[k], used[w] = w, True
+                if beaten(k + 1):
+                    return True
+                used[w] = False
+        return False
+
+    return not beaten(0)
+
+
 def enumerate_graphs(max_edges: int) -> Iterator[MultiGraph]:
     """All isomorphism classes of connected stable multigraphs, each once.
 
     Stable means every valence >= 3 (loops counting twice), which forces
     genus >= 2; the degenerate single-vertex edgeless graph is excluded.
 
-    Orderly generation (after McKay 1998): every class has a labelling with
-    val(1) >= val(2) >= ... >= val(n), so walking only such labellings
-    (`_degree_ordered`) still reaches every class.  The walk prunes only
-    labellings that are not degree-ordered, not stable, or cannot be
-    completed; which labellings are kept is decided by the `canonical_form`
-    set alone, so exactness does not rest on the pruning.  Emission order
-    is deterministic: by vertex count, then edge count, then discovery
-    order of the canonical representative.
+    Orderly generation (Read 1978; Faradzev 1978; McKay 1998): every class
+    has a labelling with val(1) >= val(2) >= ... >= val(n), and
+    `_degree_ordered` walks every stable one.  Two such labellings of one
+    graph differ by a permutation within equal-valence blocks, so each
+    class has exactly one slot vector that is maximal over those
+    permutations (`_is_maximal`), and the walk meets it once.  No set of
+    seen classes is kept, and a graph is built only for that labelling.
+    Emission order is deterministic: by vertex count, then edge count, then
+    the walk position of each class's maximal labelling.
     """
-    seen: set[tuple] = set()
     max_vertices = max(1, (2 * max_edges) // 3)
     for n in range(1, max_vertices + 1):
         slots = _slot_list(n)
@@ -391,7 +450,7 @@ def enumerate_graphs(max_edges: int) -> Iterator[MultiGraph]:
             if total - n + 1 < 2:
                 continue
             for mult in _degree_ordered(n, slots, total):
-                if not _connected_mult(n, slots, mult):
+                if not (_connected_mult(n, slots, mult) and _is_maximal(n, slots, mult)):
                     continue
                 edges = []
                 eid = 1
@@ -400,12 +459,7 @@ def enumerate_graphs(max_edges: int) -> Iterator[MultiGraph]:
                         edges.append(Edge(str(eid), str(u + 1), str(v + 1)))
                         eid += 1
                 # ids 1..m rise with idkey; _connected_mult checked the rest
-                graph = MultiGraph._derived(frozenset(str(v + 1) for v in range(n)), edges)
-                form = canonical_form(graph)
-                if form in seen:
-                    continue
-                seen.add(form)
-                yield graph
+                yield MultiGraph._derived(frozenset(str(v + 1) for v in range(n)), edges)
 
 
 def single_step_minors(g: MultiGraph) -> Iterator[tuple[str, str, MultiGraph]]:

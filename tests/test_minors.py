@@ -13,8 +13,9 @@ from czgraph.cli import EXIT_OK, main
 from czgraph.graph import (GraphError, MultiGraph, PreconditionError, blocks,
                            bridges, contract_edge, delete_edge, genus,
                            is_bridge, render_graph_text, subdivide_edge)
-from czgraph.minors import (MinorWitness, canonical_form, clear_minor_cache,
-                            enumerate_graphs, has_k4_minor_fast, has_minor,
+from czgraph.minors import (PATTERNS, MinorWitness, canonical_form,
+                            clear_minor_cache, enumerate_graphs,
+                            has_k4_minor_fast, has_minor,
                             is_hyperelliptic_type, is_k4, is_l3,
                             single_step_minors)
 
@@ -184,13 +185,38 @@ def test_enumeration_matches_slot_multiset_oracle():
         assert valences[-1] >= 3 and valences == sorted(valences, reverse=True)
 
 
-def test_enumeration_canonicalizes_only_degree_ordered_labellings(monkeypatch):
+def test_enumeration_yields_each_class_once_without_canonical_form(monkeypatch):
+    """Orderly generation keeps no set of seen classes: it never calls
+    `canonical_form`, and no two of its yields are isomorphic."""
     calls = []
     real = minors.canonical_form
     monkeypatch.setattr(minors, "canonical_form", lambda g: calls.append(1) or real(g))
     assert sum(1 for _ in enumerate_graphs(8)) == 458
-    # the walk over every slot multiset canonicalizes 6,426 labellings
-    assert len(calls) == 1213
+    assert not calls
+    forms = [canonical_form(g) for g in enumerate_graphs(9)]
+    assert len(set(forms)) == len(forms) == 1438
+
+
+def test_enumeration_keeps_the_maximal_degree_ordered_labelling():
+    """Brute force over every vertex permutation that keeps the valences
+    non-increasing: no such relabelling of a yielded graph gives a greater
+    row-major slot vector (loops on the diagonal)."""
+    relabelled = 0
+    for count, g in enumerate(enumerate_graphs(8), start=1):
+        n = len(g.vertices)
+        a = [[0] * n for _ in range(n)]
+        for e in g.edges:
+            u, v = int(e.tail) - 1, int(e.head) - 1
+            a[u][v] += 1
+            a[v][u] += u != v
+        val = [g.valence(str(v + 1)) for v in range(n)]
+        slots = [(i, j) for i in range(n) for j in range(i, n)]
+        vectors = {tuple(a[p[i]][p[j]] for i, j in slots)
+                   for p in itertools.permutations(range(n))
+                   if all(val[p[i]] == val[i] for i in range(n))}
+        assert tuple(a[i][j] for i, j in slots) == max(vectors), g
+        relabelled += len(vectors) > 1
+    assert count == 458 and relabelled == 224
 
 
 def test_genus_prunes_minor_search(theta):
@@ -439,6 +465,22 @@ def agrees_with_dfs(g):
 def test_l3_decision_matches_dfs_on_stable_blocks():
     counts = Counter(agrees_with_dfs(b) for g in enumerate_graphs(7) for b in blocks(g))
     assert counts[True] and counts[False]
+
+
+def test_hyperelliptic_type_is_both_decisions_in_one_pass():
+    """On every stable graph with <= 8 edges, each of its blocks and each of
+    its single-step minors, the one block pass agrees with deciding K4 and
+    L3 apart, and at <= 7 edges with the DFS oracle too."""
+    counts = Counter()
+    for g in enumerate_graphs(8):
+        for h in [g, *blocks(g), *(child for _, _, child in single_step_minors(g))]:
+            het = is_hyperelliptic_type(h)
+            assert het == (not (minors._contains(h, "K4") or minors._contains(h, "L3"))), h
+            if len(h.edges) <= 7:
+                assert het == all(oracles.minor_dfs(h, p) is None for p in PATTERNS), h
+                counts["dfs"] += 1
+            counts[het] += 1
+    assert counts[False] and counts["dfs"], counts
 
 
 def test_l3_decision_matches_dfs_on_random_multigraphs():
