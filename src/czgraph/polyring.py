@@ -40,11 +40,13 @@ def idkey(name: str) -> tuple:
     Digit runs compare numerically, so "2" < "2a" < "10".  Subdivision ids
     like "2a", "2b" therefore slot in right after their parent edge "2".
     A digit run keeps its text as a tie-break, so "01" < "1": equal keys
-    mean equal ids, and the order is total.
+    mean equal ids, and the order is total.  A digit run is a run of
+    decimal digits (`str.isdecimal`), exactly what `\\d` matches and `int`
+    reads; a superscript such as "²" is not one and sorts as text.
     """
     parts = []
     for run in _RUN_RE.findall(str(name)):
-        if run.isdigit():
+        if run.isdecimal():
             parts.append((0, int(run), run))
         else:
             parts.append((1, 0, run))

@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from czgraph import cli, minors
 from czgraph.ceresa import V_TAU_K4, k4_graph, l3_graph
@@ -436,6 +436,17 @@ def test_usage_error_shape_does_not_depend_on_width(tmp_path, monkeypatch, colum
     assert_usage_error(err)
 
 
+SUPERSCRIPT_VERTEX = "e 1 1\u00b2 2\ne 2 2 1\u00b2\ne 3 1\u00b2 2\n".encode()
+
+
+def test_superscript_digit_vertex_id_exits_ok(tmp_path):
+    """A vertex id "1²" holds a character that is a digit to `isdigit` but
+    not to `int`; sorting the vertices must not raise."""
+    code, err = _run_on_file(tmp_path / "graph.txt", SUPERSCRIPT_VERTEX,
+                             _graph_argv(tmp_path / "graph.txt"))
+    assert code == EXIT_OK and err == ""
+
+
 def test_signed_ascii_lengths_still_parse(tmp_path):
     """The integer grammar is [+-]?[0-9]+; a space after a --lengths comma
     is separator whitespace, not part of the number."""
@@ -492,6 +503,7 @@ _EXIT_CODES = {EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_INVARIANT}
 
 @settings(max_examples=150, deadline=None)
 @given(data=_GRAPH_BYTES)
+@example(data=SUPERSCRIPT_VERTEX)
 def test_any_graph_file_ends_in_a_documented_exit_code(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "graph"
     code, err = _run_on_file(path, data, _graph_argv(path))

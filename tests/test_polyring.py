@@ -110,6 +110,16 @@ def test_idkey_natural_order():
     assert sorted(ids, key=idkey) == ["1", "2", "2a", "2b", "10"]
 
 
+def test_idkey_is_total_on_superscript_digits():
+    """"²" is `isdigit` but not a decimal digit: `\\d` does not match it and
+    `int` refuses it, so it sorts as text instead of raising."""
+    ids = ["²", "1²", "0²0", "1", "2"]
+    keys = [idkey(i) for i in ids]
+    assert len(set(keys)) == len(ids)
+    assert sorted(ids, key=idkey) == ["0²0", "1", "1²", "2", "²"]
+    assert sorted(reversed(ids), key=idkey) == sorted(ids, key=idkey)
+
+
 # -- property tests ----------------------------------------------------------
 
 _vars = st.sampled_from(["1", "2", "3", "4", "5"])
