@@ -51,12 +51,12 @@ from . import intlin
 from .extalg import (Form, aab_keys, abb_keys, image1_forms, image2_forms,
                      triple_indices)
 from .graph import (CycleBasisContext, InvariantError, MultiGraph,
-                    ParseError, PreconditionError, TropicalCurve, blocks,
+                    ParseError, PreconditionError, TropicalCurve,
                     build_cycle_context, contract_edge, genus,
                     graph_from_json_dict, graph_to_json_dict, json_int,
                     subdivide_edge)
 from .minors import (MinorWitness, has_k4_minor_fast, has_minor,
-                     is_hyperelliptic_type)
+                     non_hyperelliptic_block)
 from .polyring import IntPolynomial, from_form, parse_polynomial, to_form
 
 
@@ -486,20 +486,18 @@ def pushforward_subdivide(v: CeresaCocycle, edge_id: str) -> CeresaCocycle:
 def classify(G: MultiGraph) -> TrivialityVerdict:
     """Decide triviality of the graph itself by the forbidden-minor route.
 
-    Tests each block of G for K4 and L3 minors; the minor oracle does its
-    own reduction.  When a block fails, it extracts a witness on G itself,
-    so that the witness replays there.
+    One block decomposition of G finds the first block with a K4 or an L3
+    minor (`non_hyperelliptic_block`); only that block is then tested for
+    K4, which names the pattern.  The witness is extracted on G itself, so
+    that it replays there.
     """
     if genus(G) < 2:
         raise PreconditionError(f"classify needs genus >= 2, got {genus(G)}")
-    bad_pattern = None
-    for block in blocks(G):
-        if not is_hyperelliptic_type(block):
-            bad_pattern = "K4" if has_k4_minor_fast(block) else "L3"
-            break
-    if bad_pattern is None:
+    bad = non_hyperelliptic_block(G)
+    if bad is None:
         return TrivialityVerdict(True, "minor-theorem",
                                  note="no K4 or L3 minor: hyperelliptic type")
+    bad_pattern = "K4" if has_k4_minor_fast(MultiGraph._derived(*bad)) else "L3"
     found, witness = has_minor(G, bad_pattern)
     if not found or witness is None or not witness.verify(G):
         raise InvariantError("block test found a minor but no witness replays on G")

@@ -163,9 +163,10 @@ def _incidence(vertices: Iterable[str], edges: Iterable[Edge]) -> dict[str, list
     """The edges at each vertex, in edge order; a loop is listed once."""
     inc: dict[str, list[Edge]] = {v: [] for v in vertices}
     for e in edges:
-        inc[e.tail].append(e)
-        if not e.is_loop():
-            inc[e.head].append(e)
+        _, t, h = e
+        inc[t].append(e)
+        if t != h:
+            inc[h].append(e)
     return inc
 
 
@@ -215,7 +216,11 @@ def _lowpoint_dfs(g: MultiGraph) -> _LowpointDFS:
     first edge (or the only vertex of an edgeless graph).
 
     Iterative, so deep graphs cannot blow the recursion limit.  Every
-    non-tree edge joins a vertex to one of its ancestors.
+    non-tree edge joins a vertex to one of its ancestors.  A vertex skips
+    the edge it was reached by (the same `Edge` object) and any edge to a
+    vertex below it: that edge was recorded, as a back edge from its deeper
+    end, when the subtree below finished.  So each non-tree edge is kept
+    once, when its deeper end meets it.
     """
     inc = g._incidence
     root = g.edges[0].tail if g.edges else next(iter(g.vertices))
@@ -223,27 +228,31 @@ def _lowpoint_dfs(g: MultiGraph) -> _LowpointDFS:
     low = {root: 0}
     tree: dict[str, tuple[str, Edge]] = {}
     back: list[tuple[str, Edge]] = []
-    used: set[str] = set()
-    work = [(root, iter(inc[root]))]
+    work = [(root, iter(inc[root]), None)]
     while work:
-        v, it = work[-1]
+        v, it, up = work[-1]
+        at = index[v]
         for e in it:
-            if e.id in used or e.tail == e.head:
+            _, t, h = e
+            if e is up or t == h:
                 continue
-            used.add(e.id)
-            w = e.other(v)
-            if w not in index:
+            w = h if t == v else t
+            to = index.get(w)
+            if to is None:
                 index[w] = low[w] = len(index)
                 tree[w] = (v, e)
-                work.append((w, iter(inc[w])))
+                work.append((w, iter(inc[w]), e))
                 break
-            back.append((v, e))
-            low[v] = min(low[v], index[w])
+            if to < at:
+                back.append((v, e))
+                if to < low[v]:
+                    low[v] = to
         else:
             work.pop()
             if work:
                 u = work[-1][0]
-                low[u] = min(low[u], low[v])
+                if low[v] < low[u]:
+                    low[u] = low[v]
     return _LowpointDFS(index, low, tree, back)
 
 
@@ -267,11 +276,12 @@ def contract_edge(g: MultiGraph, edge_id: str) -> MultiGraph:
     keep, gone = sorted((e.tail, e.head), key=idkey)
     new_edges = []
     for x in g.edges:
-        if x.id == e.id:
+        if x is e:
             continue
-        t = keep if x.tail == gone else x.tail
-        h = keep if x.head == gone else x.head
-        new_edges.append(Edge(x.id, t, h))
+        i, t, h = x
+        if t == gone or h == gone:
+            x = Edge(i, keep if t == gone else t, keep if h == gone else h)
+        new_edges.append(x)
     # edge order and connectivity are kept
     return MultiGraph._derived(g.vertices - {gone}, new_edges)
 
@@ -308,14 +318,17 @@ def subdivide_edge(g: MultiGraph, edge_id: str) -> MultiGraph:
     return MultiGraph(g.vertices | {mid}, new_edges)
 
 
-def block_parts(g: MultiGraph) -> list[tuple[frozenset[str], list[Edge]]]:
-    """Each block as (vertex set, edges in edge order), ordered by least
-    edge id; each loop is its own block.
+def block_parts(g: MultiGraph, min_genus: int = 0) -> list[tuple[frozenset[str], list[Edge]]]:
+    """Each block of genus >= min_genus as (vertex set, edges in edge
+    order), ordered by least edge id; each loop is its own block.
 
     A tree edge u -> v opens a new block unless the subtree below v reaches
     above u; a back edge belongs to the block of its deeper endpoint's tree
-    edge.  Preorder labels every parent's tree edge first.  One pass in
-    edge order then lists each block's edges sorted, and meets the blocks
+    edge.  Preorder labels every parent's tree edge first.  A non-loop
+    block with T tree edges has T + 1 vertices, so its genus is its number
+    of back edges, and a loop's is 1: the blocks are sized before any is
+    built, and none is built when none reaches min_genus.  One pass in edge
+    order then lists each kept block's edges sorted, and meets the blocks
     in the order of their least edges.
     """
     dfs = _lowpoint_dfs(g)
@@ -325,11 +338,20 @@ def block_parts(g: MultiGraph) -> list[tuple[frozenset[str], list[Edge]]]:
     for v, (u, e) in dfs.tree.items():
         opener[v] = e.id if dfs.low[v] >= dfs.index[u] else opener[u]
         block[e.id] = opener[v]
+    size: dict[str, int] = {}    # non-loop block -> its back edges, its genus
     for v, e in dfs.back:
-        block[e.id] = opener[v]
+        key = block[e.id] = opener[v]
+        size[key] = size.get(key, 0) + 1
+    if min_genus > 1 and max(size.values(), default=0) < min_genus:
+        return []
     comps: dict[str, list[Edge]] = {}
     for e in g.edges:
-        comps.setdefault(e.id if e.tail == e.head else block[e.id], []).append(e)
+        key = block.get(e.id)
+        if key is None:
+            if min_genus <= 1:
+                comps[e.id] = [e]
+        elif size.get(key, 0) >= min_genus:
+            comps.setdefault(key, []).append(e)
     return [(frozenset(v for e in es for v in (e.tail, e.head)), es)
             for es in comps.values()]
 

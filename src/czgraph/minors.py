@@ -238,8 +238,7 @@ def _contains(g: MultiGraph, pattern: str) -> bool:
     """
     if pattern == "K4":
         return genus(g) >= 3 and has_k4_minor_fast(g)
-    return genus(g) >= 4 and any(_block_contains_l3(vs, es) for vs, es in block_parts(g)
-                                 if len(es) - len(vs) + 1 >= 4)
+    return genus(g) >= 4 and any(_block_contains_l3(vs, es) for vs, es in block_parts(g, 4))
 
 
 def _block_contains_l3(vs: frozenset[str], es: list[Edge]) -> bool:
@@ -305,8 +304,10 @@ def has_minor(g: MultiGraph, pattern: str) -> tuple[bool, MinorWitness | None]:
     return True, MinorWitness(pattern, tuple(ops))
 
 
-def is_hyperelliptic_type(g: MultiGraph) -> bool:
-    """No K4 and no L3 minor; one block decomposition, no witness.
+def non_hyperelliptic_block(g: MultiGraph) -> tuple[frozenset[str], list[Edge]] | None:
+    """The first block of g, in `block_parts` order, with a K4 or an L3
+    minor; None when g is of hyperelliptic type.  One block decomposition,
+    no witness.
 
     Both patterns are 2-connected, so each is a minor of g iff it is a
     minor of a block, of genus >= 3 for K4 and >= 4 for L3.  On such a
@@ -316,8 +317,14 @@ def is_hyperelliptic_type(g: MultiGraph) -> bool:
     cannot contain L3, so True means K4; at genus >= 4 a K4 minor implies
     L3 (`_contains`), so True means L3, the same as "K4 or L3".
     """
-    return genus(g) < 3 or not any(_block_contains_l3(vs, es) for vs, es in block_parts(g)
-                                   if len(es) - len(vs) + 1 >= 3)
+    if genus(g) < 3:
+        return None
+    return next(((vs, es) for vs, es in block_parts(g, 3) if _block_contains_l3(vs, es)), None)
+
+
+def is_hyperelliptic_type(g: MultiGraph) -> bool:
+    """No K4 and no L3 minor (`non_hyperelliptic_block`)."""
+    return non_hyperelliptic_block(g) is None
 
 
 # -- enumeration of stable multigraphs --------------------------------------
@@ -353,19 +360,25 @@ def _degree_ordered(n: int, slots: list[tuple[int, int]],
     Depth first, slot by slot.  Row u of the slot order ends with (u, n-1),
     and val[u] is final there.  Three prunes cut the walk: inside row u, m
     stops rising once val[u] > val[u-1] (val[u] only grows with m); a row
-    ends only with val[u] >= 3; and no branch is taken whose vertices from u
-    on lack more valence than twice the edges left can add.  Either of the
-    last two alone keeps every yield stable; together they halve the walk.
+    ends only with val[u] >= 3; and no branch is taken whose vertices lack
+    more valence than twice the edges left can add.  Either of the last two
+    alone keeps every yield stable; together they halve the walk.  The
+    rows before u have ended with valence >= 3, so the lack over all
+    vertices, `short`, is the lack from u on; a slot changes it only at its
+    two ends, so each call passes it down instead of summing it again.
     """
     mult = [0] * len(slots)
     val = [0] * n
+    lack = [3, 2, 1] + [0] * (2 * total)  # lack[x] = max(0, 3 - x)
 
-    def walk(i: int, left: int) -> Iterator[tuple[int, ...]]:
-        u, v = slots[i]
-        if sum(max(0, 3 - x) for x in val[u:]) > 2 * left:
+    def walk(i: int, left: int, short: int) -> Iterator[tuple[int, ...]]:
+        if short > 2 * left:
             return
+        u, v = slots[i]
         last = i + 1 == len(slots)
         base_u, base_v = val[u], val[v]
+        # the lack of every vertex but u and v
+        rest = short - lack[base_u] - (lack[base_v] if u != v else 0)
         for m in (left,) if last else range(left + 1):
             val[v] = base_v + m
             val[u] = base_u + (2 * m if u == v else m)
@@ -377,11 +390,12 @@ def _degree_ordered(n: int, slots: list[tuple[int, int]],
             if last:
                 yield tuple(mult)
             else:
-                yield from walk(i + 1, left - m)
+                yield from walk(i + 1, left - m,
+                                rest + lack[val[u]] + (lack[val[v]] if u != v else 0))
         mult[i] = 0
         val[u], val[v] = base_u, base_v
 
-    yield from walk(0, total)
+    yield from walk(0, total, 3 * n)
 
 
 def _is_maximal(n: int, slots: list[tuple[int, int]], mult: tuple[int, ...]) -> bool:

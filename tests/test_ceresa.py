@@ -15,8 +15,9 @@ from czgraph.ceresa import (V_TAU_K4, V_TAU_L3, CeresaCocycle, CZClass,
 from czgraph.extalg import (HElement, LElement, aab_keys, aab_to_l_element,
                             alpha, beta, delta_G_minus_I_L, image2_coeffs,
                             triple_indices)
+from czgraph import graph
 from czgraph.graph import (MultiGraph, PreconditionError, TropicalCurve,
-                           build_cycle_context, genus, load_graph_file,
+                           blocks, build_cycle_context, genus, load_graph_file,
                            specialize_Q)
 from czgraph.intlin import IntMatrix, solve_diophantine
 from czgraph.polyring import IntPolynomial
@@ -532,6 +533,23 @@ def test_classify_two_k4_blocks():
     verdict = classify(g)
     assert not verdict.trivial
     assert verdict.witness.verify(g)
+
+
+def test_classify_decides_in_one_block_pass(monkeypatch):
+    """A trivial verdict costs one block decomposition of the whole graph,
+    not one more per block of genus >= 3."""
+    # two banana blocks of genus 3 joined by a bridge, and a loop
+    e = [("1", "1", "2"), ("2", "1", "2"), ("3", "1", "2"), ("4", "1", "2"),
+         ("5", "2", "3"),
+         ("6", "3", "4"), ("7", "3", "4"), ("8", "3", "4"), ("9", "3", "4"),
+         ("10", "4", "4")]
+    g = MultiGraph([], e)
+    assert sorted(genus(b) for b in blocks(g)) == [0, 1, 3, 3]
+    calls = []
+    real = graph._lowpoint_dfs
+    monkeypatch.setattr(graph, "_lowpoint_dfs", lambda h: calls.append(h) or real(h))
+    assert classify(g).trivial
+    assert calls == [g]
 
 
 def test_classify_requires_genus_two():

@@ -10,8 +10,8 @@ import pytest
 from czgraph import graph, minors
 from czgraph.ceresa import classify, k4_graph
 from czgraph.cli import EXIT_OK, main
-from czgraph.graph import (GraphError, MultiGraph, PreconditionError, blocks,
-                           bridges, contract_edge, delete_edge, genus,
+from czgraph.graph import (GraphError, MultiGraph, PreconditionError,
+                           block_parts, blocks, bridges, contract_edge, delete_edge, genus,
                            is_bridge, render_graph_text, subdivide_edge)
 from czgraph.minors import (PATTERNS, MinorWitness, canonical_form,
                             clear_minor_cache, enumerate_graphs,
@@ -391,6 +391,27 @@ def test_blocks_and_bridges_match_brute_force_on_graphs_with_loops():
         assert bridges(g) == want == [e.id for e in g.edges if is_bridge(g, e.id)]
         looped += len(loops) > 0 and len(g.vertices) > 1
     assert looped
+
+
+def test_block_parts_builds_only_blocks_of_the_given_genus():
+    """`block_parts(g, k)` sizes the blocks by their back edges and returns
+    exactly the unfiltered blocks of genus >= k, in the same order."""
+    rng = random.Random(311)
+    graphs = []
+    for g in enumerate_graphs(7):
+        graphs += [g, *(child for _, _, child in single_step_minors(g))]
+    graphs += [with_loops(rng, random_multigraph(rng, rng.randint(0, 4),
+                                                 max_vertices=rng.randint(1, 7)),
+                          rng.randint(1, 3)) for _ in range(200)]
+    at_bound = Counter()
+    for g in graphs:
+        parts = block_parts(g)
+        for k in range(7):
+            assert block_parts(g, k) == [(vs, es) for vs, es in parts
+                                         if len(es) - len(vs) + 1 >= k], (g, k)
+        at_bound.update(len(es) - len(vs) + 1 for vs, es in parts)
+    # every threshold meets blocks of exactly its genus
+    assert all(at_bound[k] for k in range(7)), at_bound
 
 
 def assert_validated_copy(g):
