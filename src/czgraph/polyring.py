@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from functools import total_ordering
+from functools import cache, total_ordering
 
 
 class PolynomialError(ValueError):
@@ -34,6 +34,7 @@ class PolynomialError(ValueError):
 _RUN_RE = re.compile(r"\d+|\D+")
 
 
+@cache
 def idkey(name: str) -> tuple:
     """Deterministic sort key for edge/vertex ids.
 
@@ -43,6 +44,8 @@ def idkey(name: str) -> tuple:
     mean equal ids, and the order is total.  A digit run is a run of
     decimal digits (`str.isdecimal`), exactly what `\\d` matches and `int`
     reads; a superscript such as "²" is not one and sorts as text.
+    Memoized: a run keys the same few ids again in every sort and
+    contraction, and a key is an immutable tuple.
     """
     parts = []
     for run in _RUN_RE.findall(str(name)):
