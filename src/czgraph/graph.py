@@ -16,7 +16,8 @@ Public construction validates: `MultiGraph(...)` sorts the edges, rejects
 repeated edge ids and checks connectivity.  A graph derived from a valid
 one by an operation that keeps validity skips those checks
 (`MultiGraph._derived`): `contract_edge`, `delete_edge` once its bridge
-test has passed, each block of `blocks`, the non-bridge deletions of
+test has passed, each block of `blocks` and the block on which
+`ceresa.classify` names the pattern, the non-bridge deletions of
 `minors.single_step_minors` and the labellings of
 `minors.enumerate_graphs`.
 
@@ -231,22 +232,22 @@ def _lowpoint_dfs(g: MultiGraph) -> _LowpointDFS:
     work = [(root, iter(inc[root]), None)]
     while work:
         v, it, up = work[-1]
-        at = index[v]
+        iv = index[v]
         for e in it:
             _, t, h = e
             if e is up or t == h:
                 continue
             w = h if t == v else t
-            to = index.get(w)
-            if to is None:
+            iw = index.get(w)
+            if iw is None:
                 index[w] = low[w] = len(index)
                 tree[w] = (v, e)
                 work.append((w, iter(inc[w]), e))
                 break
-            if to < at:
+            if iw < iv:
                 back.append((v, e))
-                if to < low[v]:
-                    low[v] = to
+                if iw < low[v]:
+                    low[v] = iw
         else:
             work.pop()
             if work:

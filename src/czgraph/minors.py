@@ -9,7 +9,7 @@ The witness walk rests on an exact decision that searches nothing.  K4 is
 decided by series-parallel reduction (a graph has no K4 minor exactly when
 it is series-parallel, Duffin 1965), and L3 block by block (`_contains`).
 Hyperelliptic type needs no witness; one reduction per block decides "K4
-or L3" (`is_hyperelliptic_type`).
+or L3" (`non_hyperelliptic_block`), and `classify` runs the same block loop.
 
 A witness is found by a guided walk on the unreduced graph: each step scans
 the single-step minors in a fixed order and moves to the first one the

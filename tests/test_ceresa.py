@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from czgraph import graph
 from czgraph.ceresa import (V_TAU_K4, V_TAU_L3, CeresaCocycle, CZClass,
                             _graph_system, _specialized_generators,
                             classify, compute_w,
@@ -15,7 +16,6 @@ from czgraph.ceresa import (V_TAU_K4, V_TAU_L3, CeresaCocycle, CZClass,
 from czgraph.extalg import (HElement, LElement, aab_keys, aab_to_l_element,
                             alpha, beta, delta_G_minus_I_L, image2_coeffs,
                             triple_indices)
-from czgraph import graph
 from czgraph.graph import (MultiGraph, PreconditionError, TropicalCurve,
                            blocks, build_cycle_context, genus, load_graph_file,
                            specialize_Q)
