@@ -55,8 +55,7 @@ from .graph import (CycleBasisContext, InvariantError, MultiGraph,
                     build_cycle_context, contract_edge, genus,
                     graph_from_json_dict, graph_to_json_dict, json_int,
                     subdivide_edge)
-from .minors import (MinorWitness, has_k4_minor_fast, has_minor,
-                     non_hyperelliptic_block)
+from .minors import MinorWitness, _first_pattern, _witness
 from .polyring import IntPolynomial, from_form, parse_polynomial, to_form
 
 
@@ -487,22 +486,21 @@ def classify(G: MultiGraph) -> TrivialityVerdict:
     """Decide triviality of the graph itself by the forbidden-minor route.
 
     One block decomposition of G finds the first block with a K4 or an L3
-    minor (`non_hyperelliptic_block`); only that block is then tested for
-    K4, which names the pattern.  The witness is extracted on G itself, so
-    that it replays there.
+    minor and names the pattern (`_first_pattern`): K4 when that block has
+    one, else L3.  The witness walk then runs once, on G itself, so that it
+    replays there.
     """
     if genus(G) < 2:
         raise PreconditionError(f"classify needs genus >= 2, got {genus(G)}")
-    bad = non_hyperelliptic_block(G)
-    if bad is None:
+    pattern = _first_pattern(G, 3)
+    if pattern is None:
         return TrivialityVerdict(True, "minor-theorem",
                                  note="no K4 or L3 minor: hyperelliptic type")
-    bad_pattern = "K4" if has_k4_minor_fast(MultiGraph._derived(*bad)) else "L3"
-    found, witness = has_minor(G, bad_pattern)
-    if not found or witness is None or not witness.verify(G):
+    witness = _witness(G, pattern)
+    if not witness.verify(G):
         raise InvariantError("block test found a minor but no witness replays on G")
     return TrivialityVerdict(False, "minor-theorem", witness=witness,
-                             note=f"{bad_pattern} minor found: not hyperelliptic type")
+                             note=f"{pattern} minor found: not hyperelliptic type")
 
 
 # -- pinned fixtures ---------------------------------------------------------

@@ -16,8 +16,7 @@ Public construction validates: `MultiGraph(...)` sorts the edges, rejects
 repeated edge ids and checks connectivity.  A graph derived from a valid
 one by an operation that keeps validity skips those checks
 (`MultiGraph._derived`): `contract_edge`, `delete_edge` once its bridge
-test has passed, each block of `blocks` and the block on which
-`ceresa.classify` names the pattern, the non-bridge deletions of
+test has passed, each block of `blocks`, the non-bridge deletions of
 `minors.single_step_minors` and the labellings of
 `minors.enumerate_graphs`.
 

@@ -5,11 +5,12 @@ K4 is the complete graph on four vertices; L3 is the triangle with every
 edge doubled ("loop of 3 loops", genus 4).  A connected graph is of
 hyperelliptic type exactly when it has neither as a minor.
 
-The witness walk rests on an exact decision that searches nothing.  K4 is
-decided by series-parallel reduction (a graph has no K4 minor exactly when
-it is series-parallel, Duffin 1965), and L3 block by block (`_contains`).
-Hyperelliptic type needs no witness; one reduction per block decides "K4
-or L3" (`non_hyperelliptic_block`), and `classify` runs the same block loop.
+Every decision is one series-parallel reduction, `_reduce`, and searches
+nothing: a graph has no K4 minor exactly when it is series-parallel
+(Duffin 1965), and a block without one has L3 exactly when a cycle node of
+its decomposition has three virtual edges (Valdes-Tarjan-Lawler 1982).  K4
+is decided on the whole graph (`has_k4_minor_fast`); L3, hyperelliptic
+type and the pattern `classify` names, on the blocks (`_first_pattern`).
 
 A witness is found by a guided walk on the unreduced graph: each step scans
 the single-step minors in a fixed order and moves to the first one the
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .graph import (Edge, GraphError, InvariantError, MultiGraph,
                     PreconditionError, _without, block_parts, bridges,
@@ -133,41 +134,104 @@ def is_l3(g: MultiGraph) -> bool:
 _IS_PATTERN = {"K4": is_k4, "L3": is_l3}
 
 
-# -- fast K4 test (series-parallel reduction) -------------------------------
+# -- the series-parallel reduction -----------------------------------------
+
+
+def _reduce(vs: Iterable[str], es: Iterable[Edge]) -> str | None:
+    """"K4" if the graph on vertices `vs` and edges `es` has a K4 minor;
+    else, on a block, "L3" if it has an L3 minor; else None.
+
+    One series-parallel reduction, run until two vertices are left: loops
+    are skipped, a vertex with at most one neighbour is removed, the
+    elements between two vertices collapse into one (parallel step), and a
+    vertex with two neighbours is smoothed (series step).  A graph has no
+    K4 minor iff it is series-parallel (Duffin 1965), iff the steps reach
+    two vertices; a stall leaves minimum simple degree >= 3, a K4 minor.
+
+    A block of genus >= 2 is loopless and 2-connected, and the series and
+    parallel steps keep it so: while three vertices are left, each has two
+    neighbours, and the loop and pendant steps never fire.  Without a K4
+    minor it splits into cycle nodes and bond nodes joined by virtual edges
+    (Valdes-Tarjan-Lawler 1982), and holds L3 iff some cycle node has three
+    virtual edges.  Each leads to a bond node, two internally disjoint
+    paths between its ends, so contracting the cycle's arcs between three of
+    them gives L3.  Contraction and deletion keep every count <= 2: a bond
+    node that dissolves merges the two cycle nodes it joined, of counts a
+    and b, into one of (a - 1) + (b - 1).  L3 has a count of 3.
+
+    An element's t counts the thick pieces (parallel steps' results) in its
+    series chain: the virtual edges it holds of its cycle node.  An edge has
+    t = 0; a series step adds.  A parallel step before the last two vertices
+    makes a bond node whose far side is the rest of the block: an element
+    with t >= 2 closes a cycle node with t + 1 >= 3, and all become t = 1.
+    At two vertices, two elements form a cycle node with t1 + t2, and more
+    a bond node.  Off a block a vertex pair may separate, the far side is
+    not the rest, and t means nothing: only "K4" is read there.
+
+    The reduction runs on after a count reaches 3.  On a block of genus >= 4
+    a K4 minor implies L3, so a count may come before the stall: K4 is
+    cubic, so the block holds a subdivided K4, S, and (2-connected, genus
+    >= 4) an S-path with distinct ends: at two branch vertices; at a branch
+    vertex and a point of an incident or a disjoint edge; or at points of
+    the same, adjacent or disjoint edges.  These six contract to K4 plus a
+    parallel edge, W4, the prism or K3,3, and each of those to L3.  Only
+    the stall tells such a block from one that holds L3 alone.
+    """
+    # ts[u][v] lists the t of the elements joining u and v; ts[v][u] is the same list
+    ts: dict[str, dict[str, list[int]]] = {v: {} for v in vs}
+    for e in es:
+        if e.tail != e.head:
+            ts[e.head][e.tail] = ts[e.tail].setdefault(e.head, [])
+            ts[e.tail][e.head].append(0)
+    l3 = False
+    todo = list(ts)
+    while len(ts) > 2:
+        if not todo:
+            return "K4"
+        v = todo.pop()
+        if v not in ts:
+            continue
+        for pieces in ts[v].values():
+            if len(pieces) > 1:  # parallel step
+                l3 = l3 or max(pieces) >= 2
+                pieces[:] = [1]
+        if len(ts[v]) < 2:  # pendant step
+            for a in ts.pop(v):
+                del ts[a][v]
+                todo.append(a)
+        elif len(ts[v]) == 2:  # series step
+            (a, [ta]), (c, [tc]) = ts.pop(v).items()
+            del ts[a][v], ts[c][v]
+            ts[c][a] = ts[a].setdefault(c, [])
+            ts[a][c].append(ta + tc)
+            todo += (a, c)
+    for pieces in next(iter(ts.values()), {}).values():  # the last two vertices
+        l3 = l3 or (sum(pieces) >= 3 if len(pieces) == 2 else max(pieces) >= 2)
+    return "L3" if l3 else None
 
 
 def has_k4_minor_fast(g: MultiGraph) -> bool:
-    """K4-minor test by degree-<=2 reduction of the underlying simple graph.
+    """K4-minor test: one series-parallel reduction of the whole graph
+    (`_reduce`), with no block decomposition."""
+    return _reduce(g.vertices, g.edges) == "K4"
 
-    A graph has no K4 minor iff it reduces to nothing by repeatedly deleting
-    loops/parallels and eliminating vertices of degree <= 2 (treewidth <= 2);
-    a simple graph with minimum degree >= 3 always contains a K4 minor.
+
+def _first_pattern(g: MultiGraph, min_genus: int) -> str | None:
+    """`_reduce` on the first block of g of genus >= min_genus, in
+    `block_parts` order, that has a K4 or an L3 minor; None if none has.
+
+    Both patterns are 2-connected, so each is a minor of g iff it is a
+    minor of a block, of genus >= 3 for K4 and >= 4 for L3.  One block
+    decomposition, one reduction per block, no witness.
     """
-    adj: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for e in g.edges:
-        if not e.is_loop():
-            adj[e.tail].add(e.head)
-            adj[e.head].add(e.tail)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(adj):
-            deg = len(adj[v])
-            if deg <= 1:
-                for w in adj[v]:
-                    adj[w].discard(v)
-                del adj[v]
-                changed = True
-            elif deg == 2:
-                a, b = adj[v]
-                adj[a].discard(v)
-                adj[b].discard(v)
-                del adj[v]
-                if a != b:
-                    adj[a].add(b)
-                    adj[b].add(a)
-                changed = True
-    return bool(adj)
+    if genus(g) < min_genus:
+        return None
+    return next(filter(None, (_reduce(vs, es) for vs, es in block_parts(g, min_genus))), None)
+
+
+def is_hyperelliptic_type(g: MultiGraph) -> bool:
+    """No K4 and no L3 minor (`_first_pattern`)."""
+    return _first_pattern(g, 3) is None
 
 
 # -- minor search with witnesses --------------------------------------------
@@ -216,82 +280,23 @@ def clear_minor_cache() -> None:
 
 
 def _contains(g: MultiGraph, pattern: str) -> bool:
-    """Exact decision: is `pattern` a minor of g?
-
-    L3 is 2-connected, so it is a minor of g iff it is a minor of a block
-    of genus >= 4.  Such a block b is loopless, and:
-
-    * With a K4 minor, b contains L3.  K4 is cubic, so b holds a subdivided
-      K4, S, and (2-connected, genus >= 4) an S-path with distinct ends: at
-      two branch vertices; at a branch vertex and a point of an incident or
-      a disjoint edge; or at points of the same, adjacent or disjoint edges.
-      These six contract to K4 plus a parallel edge, W4, the prism or K3,3,
-      and each of those to L3.
-    * Without one, b splits into cycle nodes and bond nodes joined by
-      virtual edges (Valdes-Tarjan-Lawler 1982), and contains L3 iff some
-      cycle node has three virtual edges.  Each leads to a bond node, two
-      internally disjoint paths between its ends, so contracting the
-      cycle's arcs between three of them gives L3.  Contraction and deletion
-      keep every count <= 2: a bond node that dissolves merges the two cycle
-      nodes it joined, of counts a and b, into one of (a - 1) + (b - 1).
-      L3 has a count of 3.
+    """Exact decision: is `pattern` a minor of g?  K4 on the whole graph,
+    L3 on its blocks of genus >= 4, where a K4 minor implies L3 (`_reduce`).
     """
     if pattern == "K4":
         return genus(g) >= 3 and has_k4_minor_fast(g)
-    return genus(g) >= 4 and any(_block_contains_l3(vs, es) for vs, es in block_parts(g, 4))
+    return _first_pattern(g, 4) is not None
 
 
-def _block_contains_l3(vs: frozenset[str], es: list[Edge]) -> bool:
-    """L3 test on a block of genus >= 4, given as its vertex set and its
-    edges (a `block_parts` entry), by one series-parallel reduction.  On a
-    block of genus 3 it is the K4 test (`is_hyperelliptic_type`).
+def _witness(g: MultiGraph, pattern: str) -> MinorWitness:
+    """The witness of a `pattern` minor that g is known to have.
 
-    An element's t counts the thick pieces (parallel steps' results) in its
-    series chain: the virtual edges it holds of its cycle node.  An edge has
-    t = 0; a series step adds.  A parallel step before the last two vertices
-    makes a bond node whose far side is the rest of b: an element with
-    t >= 2 closes a cycle node with t + 1 >= 3, else all become t = 1.  At
-    two vertices, two elements form a cycle node with t1 + t2, and more a
-    bond node.  A stalled reduction leaves minimum degree 3: a K4 minor.
+    A walk that at each step takes the first single-step minor (in
+    `single_step_minors` order) that still contains the pattern.  It
+    replays on g to an exact copy of the pattern; contraction never touches
+    loops and deletion never uses bridges, so every intermediate graph
+    stays connected.
     """
-    # ts[u][v] lists the t of the elements joining u and v; ts[v][u] is the same list
-    ts: dict[str, dict[str, list[int]]] = {v: {} for v in vs}
-    for e in es:
-        ts[e.head][e.tail] = ts[e.tail].setdefault(e.head, [])
-        ts[e.tail][e.head].append(0)
-    todo = list(ts)
-    while len(ts) > 2:
-        if not todo:
-            return True
-        v = todo.pop()
-        for pieces in ts.get(v, {}).values():
-            if len(pieces) > 1:  # parallel step
-                if max(pieces) >= 2:
-                    return True
-                pieces[:] = [1]
-        if len(ts.get(v, {})) == 2:  # series step
-            (a, [ta]), (c, [tc]) = ts.pop(v).items()
-            del ts[a][v], ts[c][v]
-            ts[c][a] = ts[a].setdefault(c, [])
-            ts[a][c].append(ta + tc)
-            todo += (a, c)
-    (pieces,) = next(iter(ts.values())).values()
-    return sum(pieces) >= 3 if len(pieces) == 2 else max(pieces) >= 2
-
-
-def has_minor(g: MultiGraph, pattern: str) -> tuple[bool, MinorWitness | None]:
-    """Decide whether `pattern` (K4 or L3) is a minor of g.
-
-    The oracle decides; the witness is a walk that at each step takes the
-    first single-step minor (in `single_step_minors` order) that still
-    contains the pattern.  It replays on g to an exact copy of the pattern;
-    contraction never touches loops and deletion never uses bridges, so
-    every intermediate graph stays connected.
-    """
-    if pattern not in PATTERNS:
-        raise PreconditionError(f"unknown pattern {pattern!r}; choose from {PATTERNS}")
-    if not _contains(g, pattern):
-        return False, None
     ops = []
     while not _IS_PATTERN[pattern](g):
         step = next(((op, eid, child) for op, eid, child in single_step_minors(g)
@@ -301,30 +306,17 @@ def has_minor(g: MultiGraph, pattern: str) -> tuple[bool, MinorWitness | None]:
                 f"{pattern} minor decided but no single-step minor of {g!r} keeps it")
         op, eid, g = step
         ops.append((op, eid))
-    return True, MinorWitness(pattern, tuple(ops))
+    return MinorWitness(pattern, tuple(ops))
 
 
-def non_hyperelliptic_block(g: MultiGraph) -> tuple[frozenset[str], list[Edge]] | None:
-    """The first block of g, in `block_parts` order, with a K4 or an L3
-    minor; None when g is of hyperelliptic type.  One block decomposition,
-    no witness.
-
-    Both patterns are 2-connected, so each is a minor of g iff it is a
-    minor of a block, of genus >= 3 for K4 and >= 4 for L3.  On such a
-    block `_block_contains_l3` answers "K4 or L3": it returns True on a
-    stall, which leaves a K4 minor, and otherwise only on a cycle node with
-    three virtual edges, which contracts to L3.  At genus 3 the block
-    cannot contain L3, so True means K4; at genus >= 4 a K4 minor implies
-    L3 (`_contains`), so True means L3, the same as "K4 or L3".
-    """
-    if genus(g) < 3:
-        return None
-    return next(((vs, es) for vs, es in block_parts(g, 3) if _block_contains_l3(vs, es)), None)
-
-
-def is_hyperelliptic_type(g: MultiGraph) -> bool:
-    """No K4 and no L3 minor (`non_hyperelliptic_block`)."""
-    return non_hyperelliptic_block(g) is None
+def has_minor(g: MultiGraph, pattern: str) -> tuple[bool, MinorWitness | None]:
+    """Decide whether `pattern` (K4 or L3) is a minor of g (`_contains`),
+    with a witness (`_witness`) when it is."""
+    if pattern not in PATTERNS:
+        raise PreconditionError(f"unknown pattern {pattern!r}; choose from {PATTERNS}")
+    if not _contains(g, pattern):
+        return False, None
+    return True, _witness(g, pattern)
 
 
 # -- enumeration of stable multigraphs --------------------------------------

@@ -19,6 +19,8 @@ the same script drives either checkout.  The inputs are
 * classify and minor on series-parallel blocks: ladders with 5-8 rungs,
   cycles with 1-5 doubled edges, and seeded random series-parallel
   compositions at genus 4-8;
+* minor on the stable graphs with <= 6 edges, each with a seeded pendant
+  tree of 1-3 vertices and a loop at its last vertex;
 * verify-theorem --max-edges 6.
 
 Input files are written to a temporary directory that is the working
@@ -41,6 +43,7 @@ from czgraph.ceresa import k4_graph
 from czgraph.cli import main
 from czgraph.graph import (MultiGraph, build_cycle_context, genus,
                            parse_graph_text, render_graph_text)
+from czgraph.minors import enumerate_graphs
 
 from conftest import (ladder, random_abb_map, random_multigraph,
                       random_series_parallel, random_spanning_tree, thick_cycle)
@@ -162,6 +165,20 @@ def series_parallel_calls() -> None:
             call(f"{stem}/minor-{pattern}", ["minor", path, "--pattern", pattern])
 
 
+def pendant_calls() -> None:
+    rng = random.Random(SEED)
+    for n, base in enumerate(enumerate_graphs(6)):
+        verts = base.sorted_vertices()
+        edges = [(e.id, e.tail, e.head) for e in base.edges]
+        for k in range(rng.randint(1, 3)):
+            edges.append((f"t{k}", rng.choice(verts), f"t{k}"))
+            verts.append(f"t{k}")
+        edges.append(("loop", verts[-1], verts[-1]))
+        path = write(f"pendant-{n}.txt", render_graph_text(MultiGraph(verts, edges)))
+        for pattern in ("K4", "L3"):
+            call(f"pendant-{n}/minor-{pattern}", ["minor", path, "--pattern", pattern])
+
+
 def run() -> None:
     pool = json.loads(POOL.read_text(encoding="utf-8"))
     here = os.getcwd()
@@ -172,6 +189,7 @@ def run() -> None:
             random_calls()
             grammar_calls()
             series_parallel_calls()
+            pendant_calls()
             call("verify-theorem-6", ["verify-theorem", "--max-edges", "6"])
         finally:
             os.chdir(here)

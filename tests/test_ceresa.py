@@ -552,6 +552,20 @@ def test_classify_decides_in_one_block_pass(monkeypatch):
     assert calls == [g]
 
 
+def test_classify_decides_once(monkeypatch):
+    """A non-trivial verdict decides G once, in the block pass that names
+    the pattern; the witness walk asks the decision only about G's minors."""
+    from czgraph import minors
+    g = MultiGraph([], [("1", "1", "2"), ("2", "2", "3"), ("3", "3", "1"), ("4", "1", "4"),
+                        ("5", "2", "4"), ("6", "3", "4"), ("7", "4", "5"), ("8", "5", "5")])
+    asked = []
+    real = minors._contains
+    monkeypatch.setattr(minors, "_contains", lambda h, p: asked.append(h) or real(h, p))
+    verdict = classify(g)
+    assert not verdict.trivial and verdict.witness.verify(g)
+    assert asked and all(h is not g for h in asked)
+
+
 def test_classify_requires_genus_two():
     loop = MultiGraph(["1"], [("1", "1", "1")])
     with pytest.raises(PreconditionError):

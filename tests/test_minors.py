@@ -599,3 +599,79 @@ def test_l3_decision_searches_nothing(monkeypatch, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(["classify", str(path), "--json"]) == EXIT_OK
     assert json.loads(out.getvalue())["result"]["trivial"] is True
+
+
+# -- one reduction: K4 against the degree-reduction oracle -------------------
+
+
+def with_pendant_tree(rng, g, size):
+    """g plus `size` new vertices, each hung by one edge from a random
+    earlier vertex: a forest of pendant trees."""
+    verts = g.sorted_vertices()
+    edges = [(e.id, e.tail, e.head) for e in g.edges]
+    for k in range(size):
+        edges.append((f"t{k}", rng.choice(verts), f"t{k}"))
+        verts.append(f"t{k}")
+    return MultiGraph(verts, edges)
+
+
+def reduction_corpus():
+    """Every stable graph with <= 8 edges and each of its single-step minors,
+    the blocks of all of those, and 2,000 random multigraphs with bridges,
+    pendant trees and loops."""
+    graphs = []
+    for g in enumerate_graphs(8):
+        graphs += [g, *(child for _, _, child in single_step_minors(g))]
+    graphs += [b for g in graphs for b in blocks(g)]
+    rng = random.Random(1965)
+    for _ in range(2000):
+        g = random_multigraph(rng, rng.randint(0, 6), max_vertices=rng.randint(1, 7))
+        g = with_pendant_tree(rng, g, rng.randint(0, 4))
+        graphs.append(with_loops(rng, g, rng.randint(0, 3)))
+    return graphs
+
+
+def test_k4_reduction_matches_degree_reduction_oracle():
+    graphs = reduction_corpus()
+    assert len(graphs) >= 20000
+    counts = Counter()
+    for g in graphs:
+        found = has_k4_minor_fast(g)
+        assert found == oracles.k4_by_degree_reduction(g), g
+        counts[found, any(e.is_loop() for e in g.edges), bool(bridges(g))] += 1
+    # K4 found and missed, on graphs with loops and with bridges
+    assert all(counts[found, True, True] for found in (True, False)), counts
+
+
+def thick_ear_k4(tag):
+    """K4 whose edge 1-2 has a parallel chain with three doubled edges, as
+    vertex pairs named with `tag`: a block of genus 7 on which the reduction
+    closes a cycle node with three virtual edges, a count of 3, before it
+    stalls on the K4."""
+    chain = [(1, "a"), ("a", "b"), ("a", "b"), ("b", "c"), ("c", "d"), ("c", "d"),
+             ("d", "e"), ("e", "f"), ("e", "f"), ("f", 2)]
+    return [(f"{tag}{a}", f"{tag}{b}") for a, b in K4_PAIRS + chain]
+
+
+def test_classify_names_the_pattern_of_the_first_failing_block():
+    """A non-trivial verdict names K4 exactly when the first block without
+    hyperelliptic type has a K4 minor, by the degree-reduction oracle."""
+    l3 = [("u", "v"), ("u", "v"), ("v", "w"), ("v", "w"), ("w", "u"), ("w", "u")]
+    bridge = [("u", "x1"), ("x3", "x3")]
+    # the thick-eared K4 alone, after an L3 block, and before one
+    extra = [from_pairs(thick_ear_k4("x")), from_pairs(l3 + bridge + thick_ear_k4("x")),
+             from_pairs(thick_ear_k4("x") + bridge + l3)]
+    named = Counter()
+    for g in reduction_corpus() + extra:
+        if genus(g) < 2:
+            continue
+        verdict = classify(g)
+        if verdict.trivial:
+            continue
+        first = next(b for b in blocks(g) if not is_hyperelliptic_type(b))
+        pattern = "K4" if oracles.k4_by_degree_reduction(first) else "L3"
+        assert verdict.note == f"{pattern} minor found: not hyperelliptic type", g
+        assert verdict.witness.pattern == pattern
+        named[pattern, genus(first) >= 4] += 1
+    assert named["K4", True] and named["L3", True] and named["K4", False], named
+    assert [classify(g).witness.pattern for g in extra] == ["K4", "L3", "K4"]
