@@ -142,11 +142,12 @@ def _reduce(vs: Iterable[str], es: Iterable[Edge]) -> str | None:
     else, on a block, "L3" if it has an L3 minor; else None.
 
     One series-parallel reduction, run until two vertices are left: loops
-    are skipped, a vertex with at most one neighbour is removed, the
-    elements between two vertices collapse into one (parallel step), and a
-    vertex with two neighbours is smoothed (series step).  A graph has no
-    K4 minor iff it is series-parallel (Duffin 1965), iff the steps reach
-    two vertices; a stall leaves minimum simple degree >= 3, a K4 minor.
+    are skipped, a vertex with at most one neighbour is removed, two
+    elements joining the same two vertices collapse into one (parallel
+    step), and a vertex with two neighbours is smoothed (series step).  A
+    graph has no K4 minor iff it is series-parallel (Duffin 1965), iff the
+    steps reach two vertices; a stall leaves minimum simple degree >= 3, a
+    K4 minor.
 
     A block of genus >= 2 is loopless and 2-connected, and the series and
     parallel steps keep it so: while three vertices are left, each has two
@@ -163,10 +164,13 @@ def _reduce(vs: Iterable[str], es: Iterable[Edge]) -> str | None:
     series chain: the virtual edges it holds of its cycle node.  An edge has
     t = 0; a series step adds.  A parallel step before the last two vertices
     makes a bond node whose far side is the rest of the block: an element
-    with t >= 2 closes a cycle node with t + 1 >= 3, and all become t = 1.
-    At two vertices, two elements form a cycle node with t1 + t2, and more
-    a bond node.  Off a block a vertex pair may separate, the far side is
-    not the rest, and t means nothing: only "K4" is read there.
+    with t >= 2 closes a cycle node with t + 1 >= 3, and the bond becomes
+    one element with t = 1.  At the last two vertices two elements form a
+    cycle node with t1 + t2; a bond collapsed between them before has
+    t = 1, so the other element closes a count of 3 iff its t >= 2, as at
+    any bond.  A block of two vertices holds only edges, t = 0.  Off a block
+    a vertex pair may separate, the far side is not the rest, and t means
+    nothing: only "K4" is read there.
 
     The reduction runs on after a count reaches 3.  On a block of genus >= 4
     a K4 minor implies L3, so a count may come before the stall: K4 is
@@ -177,36 +181,34 @@ def _reduce(vs: Iterable[str], es: Iterable[Edge]) -> str | None:
     parallel edge, W4, the prism or K3,3, and each of those to L3.  Only
     the stall tells such a block from one that holds L3 alone.
     """
-    # ts[u][v] lists the t of the elements joining u and v; ts[v][u] is the same list
-    ts: dict[str, dict[str, list[int]]] = {v: {} for v in vs}
-    for e in es:
-        if e.tail != e.head:
-            ts[e.head][e.tail] = ts[e.tail].setdefault(e.head, [])
-            ts[e.tail][e.head].append(0)
+    ts: dict[str, dict[str, int]] = {v: {} for v in vs}  # ts[u][v] = ts[v][u] = t
     l3 = False
+
+    def join(a: str, c: str, t: int) -> None:
+        nonlocal l3
+        old = ts[a].get(c)
+        if old is not None:  # parallel step
+            l3 = l3 or (max(old, t) >= 2 if len(ts) > 2 else old + t >= 3)
+            t = 1
+        ts[a][c] = ts[c][a] = t
+    for _, tail, head in es:
+        if tail != head:
+            join(tail, head, 0)
     todo = list(ts)
     while len(ts) > 2:
         if not todo:
             return "K4"
         v = todo.pop()
-        if v not in ts:
+        nbrs = ts.get(v)
+        if nbrs is None or len(nbrs) > 2:
             continue
-        for pieces in ts[v].values():
-            if len(pieces) > 1:  # parallel step
-                l3 = l3 or max(pieces) >= 2
-                pieces[:] = [1]
-        if len(ts[v]) < 2:  # pendant step
-            for a in ts.pop(v):
-                del ts[a][v]
-                todo.append(a)
-        elif len(ts[v]) == 2:  # series step
-            (a, [ta]), (c, [tc]) = ts.pop(v).items()
-            del ts[a][v], ts[c][v]
-            ts[c][a] = ts[a].setdefault(c, [])
-            ts[a][c].append(ta + tc)
-            todo += (a, c)
-    for pieces in next(iter(ts.values()), {}).values():  # the last two vertices
-        l3 = l3 or (sum(pieces) >= 3 if len(pieces) == 2 else max(pieces) >= 2)
+        del ts[v]
+        for a in nbrs:
+            del ts[a][v]
+        if len(nbrs) == 2:  # series step; else pendant step
+            (a, ta), (c, tc) = nbrs.items()
+            join(a, c, ta + tc)
+        todo += nbrs
     return "L3" if l3 else None
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from czgraph import graph
+from czgraph import graph, minors
 from czgraph.ceresa import (V_TAU_K4, V_TAU_L3, CeresaCocycle, CZClass,
                             _graph_system, _specialized_generators,
                             classify, compute_w,
@@ -555,7 +555,6 @@ def test_classify_decides_in_one_block_pass(monkeypatch):
 def test_classify_decides_once(monkeypatch):
     """A non-trivial verdict decides G once, in the block pass that names
     the pattern; the witness walk asks the decision only about G's minors."""
-    from czgraph import minors
     g = MultiGraph([], [("1", "1", "2"), ("2", "2", "3"), ("3", "3", "1"), ("4", "1", "4"),
                         ("5", "2", "4"), ("6", "3", "4"), ("7", "4", "5"), ("8", "5", "5")])
     asked = []
