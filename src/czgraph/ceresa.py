@@ -12,8 +12,9 @@ of the class is decided two ways:
 * curve level: after evaluating at edge lengths, membership of the
   specialized class in the integer image lattice (method "curve-lattice").
   One `intlin.solve_diophantine` call on the evaluated generators decides
-  it, and a non-trivial verdict's `lattice_hnf` is the Hermite basis that
-  the same elimination leaves, so each verdict factors its generators once.
+  it, and a non-trivial verdict's `lattice_hnf` is the Hermite basis
+  reduced from the echelon rows of that same elimination, so each verdict
+  factors its generators once.
 
 Both levels take the squared-twist generators from one integer kernel.  The
 unit a_i^a_j^b_k reaches only the triples that contain k, where its
@@ -23,14 +24,17 @@ per decision (`_q_minors`) as quadratic forms over edge-position pairs: the
 graph level fills its integer equations straight from them, and the curve
 level evaluates them at the edge lengths.  The graph-level system keeps only
 the equations that can constrain it: one whose generator row and right-hand
-side are both zero is a zero column of A^T, which the Hermite form never
+side are both zero is a zero column of A^T, which the elimination never
 pivots on, so the solution and certificate are the same as the full
-system's.  The class is `extalg.image1_forms` of the cocycle, and every
-trivial graph-level verdict is replayed through `extalg.image2_forms`, the
-3x3-determinant closed form, derived independently of the kernel.  All of
-it, the validation and the transport are integer arithmetic on forms keyed
-by edge position (see `polyring`); the polynomials `CeresaCocycle.b` and
-`CZClass.c` are the text boundary.
+system's.  A kept equation with a zero generator row has a nonzero
+right-hand side, which no combination of generators reaches: it decides a
+non-trivial verdict before any elimination.  The class is
+`extalg.image1_forms` of the cocycle, and every trivial graph-level verdict
+is replayed through `extalg.image2_forms`, the 3x3-determinant closed form,
+derived independently of the kernel.  All of it, the validation and the
+transport are integer arithmetic on forms keyed by edge position (see
+`polyring`); the polynomials `CeresaCocycle.b` and `CZClass.c` are the
+text boundary.
 
 The minor-theoretic classifier ("minor-theorem") decides triviality of the
 graph itself: trivial exactly when there is no K4 or L3 minor.
@@ -277,9 +281,9 @@ def _graph_system(ctx: CycleBasisContext, w: CZClass
     The equations are triple-major over the sorted monomials of the minors
     and the class, one column per unit in aab_keys order, filled straight
     from the minors.  An equation whose A-row and right-hand side are both
-    zero is a zero column of A^T, which never takes a pivot in the Hermite
-    form, so dropping it leaves the solution unchanged.  A zero A-row with a
-    nonzero right-hand side stays and makes the system infeasible.
+    zero is a zero column of A^T, which never takes a pivot in the
+    elimination, so dropping it leaves the solution unchanged.  A zero A-row
+    with a nonzero right-hand side stays and makes the system infeasible.
     """
     minors = _q_minors(ctx)
     target = {t: w.forms[tr] for t, tr in enumerate(triple_indices(ctx.g)) if tr in w.forms}
@@ -310,11 +314,14 @@ def is_cz_trivial_graph(G: MultiGraph, v: CeresaCocycle) -> TrivialityVerdict:
     squared-twist images of a_i^a_j^b_k wedges?
 
     Builds one linear equation per (triple, quadratic monomial) pair
-    (`_graph_system`) and decides exact integer feasibility.  A trivial
-    verdict is replayed through `image2_forms`.  The larger "psi" system,
-    which also admits a^a^a generators modulo the embedded H, provably
-    agrees for classes in the top filtration; it is kept with the tests as
-    an oracle (`tests/ceresa_oracles.py`).
+    (`_graph_system`) and decides exact integer feasibility.  An equation
+    with a zero A-row and a nonzero right-hand side makes the verdict
+    non-trivial at once; otherwise `intlin.solve_diophantine` decides on
+    the echelon form, and a trivial verdict is replayed through
+    `image2_forms`.  The larger "psi" system, which also admits a^a^a
+    generators modulo the embedded H, provably agrees for classes in the
+    top filtration; it is kept with the tests as an oracle
+    (`tests/ceresa_oracles.py`).
     """
     if v.context.graph != G:
         raise PreconditionError("cocycle context does not match the graph")
@@ -326,12 +333,14 @@ def is_cz_trivial_graph(G: MultiGraph, v: CeresaCocycle) -> TrivialityVerdict:
                                  note="genus < 3: top filtration stage is zero")
     units = aab_keys(ctx.g)
     n_equations, rows, rhs = _graph_system(ctx, w)
+    infeasible = TrivialityVerdict(
+        False, "graph-diophantine",
+        certificate={"infeasible": True, "unknowns": len(units), "equations": n_equations})
+    if any(b and not any(row) for row, b in zip(rows, rhs)):
+        return infeasible
     result = intlin.solve_diophantine(intlin.IntMatrix.from_rows(rows, cols=len(units)), rhs)
     if not result.feasible:
-        return TrivialityVerdict(
-            False, "graph-diophantine",
-            certificate={"infeasible": True, "unknowns": len(units),
-                         "equations": n_equations})
+        return infeasible
     a = {key: coeff for key, coeff in zip(units, result.solution) if coeff}
     if image2_forms(ctx.q_forms, {key: {(): c} for key, c in a.items()}) != w.forms:
         raise InvariantError("graph-level witness does not replay to the class")

@@ -4,17 +4,21 @@ Diophantine systems with certificates.
 Every decision runs one fraction-free elimination over Python ints,
 `_echelon` (Cohen, A Course in Computational Algebraic Number Theory, 2.4),
 with no modular or floating-point shortcuts, since certificates replay
-exactly.  It brings rows to Hermite normal form and carries any columns
-past the eliminated ones along: `solve_diophantine` eliminates [A^T | I] to
-read a solution off the transform, and `hnf_basis` eliminates the bare
-rows.  The curve-level systems are the largest in use: A^T is 224 x 56 at
-genus 8.
+exactly.  It brings rows to echelon form with positive pivots and carries
+any columns past the eliminated ones along: `solve_diophantine` eliminates
+[A^T | I] and decides by forward substitution on the echelon rows, reading
+a solution off the transform.  Only a Hermite basis needs the entries above
+each pivot reduced (Schrijver, Theory of Linear and Integer Programming,
+4.1), and `_reduce_above` does that for `hnf_basis` and for
+`DiophantineResult.basis` when it is read.  The curve-level systems are the
+largest in use: A^T is 224 x 56 at genus 8.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -82,12 +86,13 @@ class IntMatrix:
 
 
 def _echelon(rows: list[list[int]], n: int) -> int:
-    """Bring `rows` to row-style Hermite form on their first n columns, in
-    place, and return the rank.
+    """Bring `rows` to row echelon form on their first n columns, in place,
+    with positive pivots, and return the rank.
 
     Columns after n ride along through every row operation, so rows of
     [A | I] come out as [H | U] with H = U*A.  Rows beyond the rank are zero
-    on the first n columns.
+    on the first n columns.  The entries above each pivot are left as they
+    are; `_reduce_above` turns the pivot rows into Hermite form.
     """
     m = len(rows)
     r = 0
@@ -105,49 +110,76 @@ def _echelon(rows: list[list[int]], n: int) -> int:
         if r < m and rows[r][c]:
             if rows[r][c] < 0:
                 rows[r] = [-a for a in rows[r]]
-            pivot = rows[r]
-            for i in range(r):
-                q = rows[i][c] // pivot[c]
-                if q:
-                    rows[i] = [a - q * b for a, b in zip(rows[i], pivot)]
             r += 1
     return r
+
+
+def _reduce_above(rows: list[list[int]]) -> None:
+    """Reduce the entries above each pivot of nonzero echelon rows into
+    [0, pivot), in place: row-style Hermite form.
+
+    Each step subtracts a multiple of a pivot row from a row above it, so
+    the rows are multiplied by a unimodular upper-triangular matrix and
+    span the same lattice.
+    """
+    c = -1
+    for r, pivot in enumerate(rows):
+        c += 1
+        while not pivot[c]:
+            c += 1
+        for i in range(r):
+            q = rows[i][c] // pivot[c]
+            if q:
+                rows[i] = [a - q * b for a, b in zip(rows[i], pivot)]
 
 
 def hnf_basis(vectors: Iterable[Sequence[int]]) -> list[list[int]]:
     """Nonzero rows of the HNF of the given row vectors (a lattice basis)."""
     A = IntMatrix.from_rows(vectors)
     rows = A.to_rows()
-    return rows[:_echelon(rows, A.cols)]
+    rows = rows[:_echelon(rows, A.cols)]
+    _reduce_above(rows)
+    return rows
 
 
 @dataclass(frozen=True)
 class DiophantineResult:
     """Outcome of an integer linear system A x = b.
 
-    When feasible, `solution` satisfies A*solution = b exactly.  `basis`
-    holds the nonzero rows of the HNF of A^T, the Hermite basis of the
-    lattice spanned by A's columns, whether or not b lies in it.
+    When feasible, `solution` satisfies A*solution = b exactly.  `echelon`
+    holds the nonzero rows of an echelon form of A^T, which decided the
+    system.  `basis` reduces them, when first read, to the nonzero rows of
+    the HNF of A^T: the Hermite basis of the lattice spanned by A's columns,
+    whether or not b lies in it.
     """
 
     feasible: bool
     solution: tuple[int, ...] | None
-    basis: list[list[int]]
+    echelon: list[list[int]]
+
+    @cached_property
+    def basis(self) -> list[list[int]]:
+        rows = [row[:] for row in self.echelon]
+        _reduce_above(rows)
+        return rows
 
 
 def solve_diophantine(A: IntMatrix, b: Sequence[int]) -> DiophantineResult:
     """Decide b in the integer column span of A, with a witness.
 
-    One elimination of [A^T | I] gives H = U*A^T.  The pivot rows of H force
-    the coefficients y with b = y*H, and then x = U^T y solves A x = b,
-    accumulated from the transform rows as y is found.
+    One elimination of [A^T | I] gives H = U*A^T in echelon form.  Forward
+    substitution on the pivot rows of H forces the coefficients y with
+    b = y*H, and then x = U^T y solves A x = b, accumulated from the
+    transform rows as y is found.  Reducing H to Hermite form would multiply
+    the pivot rows of [H | U] by a unimodular matrix E and y by E^-1, which
+    leaves x = y*U as it is, so the solve never reduces.
     """
     if len(b) != A.rows:
         raise DimensionError(f"rhs length {len(b)} does not match {A.rows} rows")
     m, n, e = A.rows, A.cols, A.entries
     rows = [list(e[j::n]) + [int(i == j) for i in range(n)] for j in range(n)]
     rank = _echelon(rows, m)
-    basis = [row[:m] for row in rows[:rank]]
+    echelon = [row[:m] for row in rows[:rank]]
 
     residual = [int(x) for x in b]
     x = [0] * n
@@ -155,13 +187,13 @@ def solve_diophantine(A: IntMatrix, b: Sequence[int]) -> DiophantineResult:
         p = next(j for j, v in enumerate(row) if v)
         q, rem = divmod(residual[p], row[p])
         if rem:
-            return DiophantineResult(False, None, basis)
+            return DiophantineResult(False, None, echelon)
         if q:
             residual = [a - q * v for a, v in zip(residual, row)]
             x = [a + q * u for a, u in zip(x, row[m:])]
     if any(residual):
-        return DiophantineResult(False, None, basis)
-    return DiophantineResult(True, tuple(x), basis)
+        return DiophantineResult(False, None, echelon)
+    return DiophantineResult(True, tuple(x), echelon)
 
 
 def lattice_membership(generators: Sequence[Sequence[int]],

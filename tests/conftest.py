@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from czgraph.ceresa import k4_context, k4_graph, l3_context, l3_graph
-from czgraph.extalg import abb_keys, aab_keys
+from czgraph.ceresa import (CeresaCocycle, k4_context, k4_graph, l3_context,
+                            l3_graph)
+from czgraph.extalg import (aab_keys, aab_to_l_element, abb_keys,
+                            delta_G_minus_I_L)
 from czgraph.graph import MultiGraph, build_cycle_context
 from czgraph.polyring import IntPolynomial
 
@@ -127,6 +129,16 @@ def random_aab_map(rng: random.Random, ctx, density: float = 0.35,
             else:
                 out[key] = random_linear_form(rng, edge_ids)
     return out
+
+
+def trivial_cocycle(rng: random.Random, ctx) -> CeresaCocycle:
+    """The a^b^b part of (delta_G - I) applied to an integer a^a^b element,
+    so its class is a squared-twist image: trivial by construction."""
+    a = random_aab_map(rng, ctx, density=0.2, integers=True)
+    image = delta_G_minus_I_L(ctx, aab_to_l_element(ctx.g, a))
+    return CeresaCocycle(ctx, {tuple(idx for _, idx in triple): poly
+                               for triple, poly in image.terms.items()
+                               if [kind for kind, _ in triple] == ["a", "b", "b"]})
 
 
 @pytest.fixture(scope="session")

@@ -3,8 +3,10 @@
 None of this is on a decision path; it is kept because each piece is an
 independent route to a fact the solver also establishes:
 
-* `hermite_normal_form`: the library's elimination run on [A | I], which
-  returns the unimodular transform along with the Hermite form;
+* `hermite_normal_form`: a Hermite elimination of its own on [A | I], which
+  reduces above each pivot as soon as it is placed, and returns the
+  unimodular transform along with the Hermite form;
+* `solve_by_hermite`: a Diophantine solve on that Hermite form, x = U^T y;
 * `determinant`: fraction-free (Bareiss) elimination, used to check that
   transforms are unimodular and that lattice indices match HNF pivots;
 * `identity` and `zeros`: the identity and the zero `IntMatrix`;
@@ -16,7 +18,7 @@ independent route to a fact the solver also establishes:
 
 from __future__ import annotations
 
-from czgraph.intlin import DimensionError, IntMatrix, _echelon
+from czgraph.intlin import DimensionError, IntMatrix
 
 
 def identity(n: int) -> IntMatrix:
@@ -48,9 +50,63 @@ def hermite_normal_form(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """
     m, n = A.rows, A.cols
     rows = [A.row(i) + [int(i == j) for j in range(m)] for i in range(m)]
-    _echelon(rows, n)
+    _hermite(rows, n)
     return (IntMatrix.from_rows([row[:n] for row in rows], cols=n),
             IntMatrix.from_rows([row[n:] for row in rows]))
+
+
+def _hermite(rows: list[list[int]], n: int) -> int:
+    """Row-style Hermite form on the first n columns, in place; returns the
+    rank.  The pivot is the least nonzero entry in absolute value, the
+    first such row on ties, and the rows above each pivot are reduced into
+    [0, pivot) before the next column is eliminated.  Columns after n ride
+    along."""
+    m = len(rows)
+    r = 0
+    for c in range(n):
+        while nz := [i for i in range(r, m) if rows[i][c]]:
+            i0 = min(nz, key=lambda i: (abs(rows[i][c]), i))
+            rows[r], rows[i0] = rows[i0], rows[r]
+            if len(nz) == 1:
+                break
+            pivot = rows[r]
+            for i in range(r + 1, m):
+                q = rows[i][c] // pivot[c]
+                if q:
+                    rows[i] = [a - q * b for a, b in zip(rows[i], pivot)]
+        if r < m and rows[r][c]:
+            if rows[r][c] < 0:
+                rows[r] = [-a for a in rows[r]]
+            pivot = rows[r]
+            for i in range(r):
+                q = rows[i][c] // pivot[c]
+                if q:
+                    rows[i] = [a - q * b for a, b in zip(rows[i], pivot)]
+            r += 1
+    return r
+
+
+def solve_by_hermite(A: IntMatrix, b) -> tuple[bool, tuple[int, ...] | None,
+                                               list[list[int]]]:
+    """(feasible, solution, Hermite basis of the columns of A) for A x = b.
+
+    With H = U*A^T in Hermite form, b = y*H has at most one solution y, read
+    off the pivots; then x = U^T y.
+    """
+    H, U = hermite_normal_form(A.transpose())
+    basis = [row for row in H.to_rows() if any(row)]
+    residual = [int(v) for v in b]
+    y = []
+    for row in basis:
+        p = next(j for j, v in enumerate(row) if v)
+        q, rem = divmod(residual[p], row[p])
+        if rem:
+            return False, None, basis
+        residual = [a - q * v for a, v in zip(residual, row)]
+        y.append(q)
+    if any(residual):
+        return False, None, basis
+    return True, tuple(U.transpose().apply(y + [0] * (U.rows - len(y)))), basis
 
 
 def kernel_basis(A: IntMatrix) -> list[list[int]]:

@@ -15,6 +15,9 @@ the same script drives either checkout.  The inputs are
 * seeded random multigraphs from `conftest.random_multigraph`, at genus 1-5,
   with four edge-id styles, random spanning trees in half of them, lengths
   1..5 and sparse random cocycles: every subcommand;
+* seeded random multigraphs at genus 7 and 8, lengths 1..5, each with a
+  sparse random cocycle and a cocycle that is trivial by construction
+  (`conftest.trivial_cocycle`): cz-test at graph and at curve level;
 * a few inputs that exercise the integer grammar of the text formats;
 * classify and minor on series-parallel blocks: ladders with 5-8 rungs,
   cycles with 1-5 doubled edges, and seeded random series-parallel
@@ -39,18 +42,20 @@ import random
 import tempfile
 from pathlib import Path
 
-from czgraph.ceresa import k4_graph
+from czgraph.ceresa import CeresaCocycle, k4_graph
 from czgraph.cli import main
 from czgraph.graph import (MultiGraph, build_cycle_context, genus,
                            parse_graph_text, render_graph_text)
 from czgraph.minors import enumerate_graphs
 
 from conftest import (ladder, random_abb_map, random_multigraph,
-                      random_series_parallel, random_spanning_tree, thick_cycle)
+                      random_series_parallel, random_spanning_tree, thick_cycle,
+                      trivial_cocycle)
 
 POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool.json"
 SEED = 20261018
 RANDOM_GRAPHS = 300
+LARGE_GENERA = (7, 7, 8, 8)
 ID_STYLES = ("{}", "{}a", "e{}", "x_{}")
 # Inputs whose integers are outside [+-]?[0-9]+, or inside it with a sign.
 GRAMMAR_FILES = {
@@ -135,6 +140,23 @@ def random_calls() -> None:
         call(f"{stem}/cz-test-curve", ["cz-test", curve, "--cocycle", cocycle])
 
 
+def large_calls() -> None:
+    rng = random.Random(SEED)
+    for n, g in enumerate(LARGE_GENERA):
+        graph = random_multigraph(rng, g, max_vertices=5)
+        ctx = build_cycle_context(graph)
+        lengths = {e.id: rng.randint(1, 5) for e in graph.edges}
+        stem = f"large-g{g}-{n}"
+        path = write(f"{stem}.txt", render_graph_text(graph))
+        curve = write(f"{stem}-curve.txt", render_graph_text(graph, lengths))
+        cocycles = {"random": CeresaCocycle(ctx, random_abb_map(rng, ctx, density=0.2)),
+                    "trivial": trivial_cocycle(rng, ctx)}
+        for kind, v in cocycles.items():
+            cocycle = write(f"{stem}-{kind}.json", json.dumps(v.to_json_dict()))
+            call(f"{stem}/cz-test-diophantine-{kind}", ["cz-test", path, "--cocycle", cocycle])
+            call(f"{stem}/cz-test-curve-{kind}", ["cz-test", curve, "--cocycle", cocycle])
+
+
 def grammar_calls() -> None:
     for name, text in GRAMMAR_FILES.items():
         call(f"grammar/{name}", ["lattice", write(f"{name}.txt", text)])
@@ -187,6 +209,7 @@ def run() -> None:
         try:
             pool_calls(pool)
             random_calls()
+            large_calls()
             grammar_calls()
             series_parallel_calls()
             pendant_calls()

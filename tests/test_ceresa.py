@@ -4,29 +4,29 @@ from pathlib import Path
 
 import pytest
 
-from czgraph import graph, minors
+from czgraph import graph, intlin, minors
 from czgraph.ceresa import (V_TAU_K4, V_TAU_L3, CeresaCocycle, CZClass,
-                            _graph_system, _specialized_generators,
-                            classify, compute_w,
+                            TrivialityVerdict, _graph_system,
+                            _specialized_generators, classify, compute_w,
                             image_lattice,
                             is_cz_trivial_curve, is_cz_trivial_graph,
                             k4_context, k4_graph, l3_context, l3_graph,
                             pushforward_contract, pushforward_subdivide,
                             specialize)
-from czgraph.extalg import (HElement, LElement, aab_keys, aab_to_l_element,
-                            alpha, beta, delta_G_minus_I_L, image2_coeffs,
-                            triple_indices)
+from czgraph.extalg import (HElement, LElement, aab_keys, alpha, beta,
+                            image2_coeffs, triple_indices)
 from czgraph.graph import (MultiGraph, PreconditionError, TropicalCurve,
                            blocks, build_cycle_context, genus, load_graph_file,
-                           specialize_Q)
+                           parse_graph_text, specialize_Q)
 from czgraph.intlin import IntMatrix, solve_diophantine
 from czgraph.polyring import IntPolynomial
 from czgraph.polyring import parse_polynomial as P
 
 from conftest import (random_aab_map, random_abb_map, random_multigraph,
-                      random_spanning_tree)
+                      random_spanning_tree, trivial_cocycle)
 from ceresa_oracles import psi_system, solve_psi
 from extalg_oracles import psi_G, wedge_with_omega
+from lin_oracles import solve_by_hermite
 from poly_oracles import evaluate, substitute
 
 NEG2X2X5 = P("-2*x2*x5")
@@ -97,16 +97,6 @@ def test_psi_mode_agrees_on_fixtures():
         assert main.trivial == feasible
 
 
-def _trivial_cocycle(rng, ctx):
-    """The a^b^b part of (delta_G - I) applied to an integer a^a^b element,
-    so its class is a squared-twist image: trivial by construction."""
-    a = random_aab_map(rng, ctx, density=0.2, integers=True)
-    image = delta_G_minus_I_L(ctx, aab_to_l_element(ctx.g, a))
-    return CeresaCocycle(ctx, {tuple(idx for _, idx in triple): poly
-                               for triple, poly in image.terms.items()
-                               if [kind for kind, _ in triple] == ["a", "b", "b"]})
-
-
 def test_psi_mode_agrees_on_random_cocycles():
     """The decision and the psi oracle agree on random and on
     trivial-by-construction cocycles at genus 3 to 5, and a psi solution
@@ -116,7 +106,7 @@ def test_psi_mode_agrees_on_random_cocycles():
     for n in range(24):
         g = random_multigraph(rng, 3 + n % 3, max_vertices=4)
         ctx = build_cycle_context(g)
-        v = (_trivial_cocycle(rng, ctx) if n % 2
+        v = (trivial_cocycle(rng, ctx) if n % 2
              else CeresaCocycle(ctx, random_abb_map(rng, ctx, density=0.3)))
         main = is_cz_trivial_graph(g, v)
         w = compute_w(v)
@@ -219,16 +209,23 @@ def _oracle_system(ctx, w):
     return gens, rows, rhs
 
 
-def test_kernel_matches_image2_oracle():
+def test_kernel_matches_image2_oracle(monkeypatch):
     """The minor kernel against image2_coeffs, unit by unit: at graph level
     as the columns of the full system, at curve level evaluated at random
     lengths; and dropping the equations with zero A-row and zero right-hand
-    side leaves the Diophantine solution unchanged.  A non-trivial curve
-    verdict's `lattice_hnf` is the image lattice."""
+    side leaves the Diophantine solution unchanged.  Every graph-level
+    verdict, certificate and replay hash is the one the full system's solve
+    gives, and a verdict eliminates nothing exactly when a kept equation has
+    a zero A-row.  A non-trivial curve verdict's `lattice_hnf` is the image
+    lattice."""
+    eliminations = []
+    echelon = intlin._echelon
+    monkeypatch.setattr(intlin, "_echelon",
+                        lambda rows, n: eliminations.append(n) or echelon(rows, n))
     rng = random.Random(8)
     zero = IntPolynomial.zero()
     seen = {"feasible": 0, "infeasible": 0, "dropped": 0, "zero_row_kept": 0,
-            "curve_nontrivial": 0}
+            "zero_row_exit": 0, "curve_nontrivial": 0}
     for n in range(150):
         # 60 / 45 / 30 / 15 graphs of genus 3 / 4 / 5 / 6
         graph = random_multigraph(rng, (3, 3, 3, 3, 4, 4, 4, 5, 5, 6)[n % 10],
@@ -254,6 +251,20 @@ def test_kernel_matches_image2_oracle():
                 IntMatrix.from_rows(kernel_rows, cols=len(gens)), kernel_rhs)
             assert (reduced.feasible, reduced.solution) == (full.feasible, full.solution)
             seen["feasible" if full.feasible else "infeasible"] += 1
+            if v is not None:
+                certificate = (
+                    {"a": {key: c for key, c in zip(aab_keys(ctx.g), full.solution) if c}}
+                    if full.feasible else
+                    {"infeasible": True, "unknowns": len(gens), "equations": len(rows)})
+                expect = TrivialityVerdict(full.feasible, "graph-diophantine",
+                                           certificate=certificate)
+                eliminations.clear()
+                verdict = is_cz_trivial_graph(graph, v)
+                assert ((verdict.trivial, verdict.certificate, verdict.replay_hash())
+                        == (expect.trivial, expect.certificate, expect.replay_hash()))
+                exit_taken = not eliminations
+                assert exit_taken == any(not any(r) for r, _ in kept)
+                seen["zero_row_exit"] += exit_taken
 
             lengths = {e.id: rng.randint(1, 5) for e in graph.edges}
             curve = TropicalCurve(graph, lengths)
@@ -265,6 +276,45 @@ def test_kernel_matches_image2_oracle():
             if verdict is not None and not verdict.trivial:
                 assert verdict.certificate["lattice_hnf"] == image_lattice(curve, ctx)
                 seen["curve_nontrivial"] += 1
+    assert all(seen.values()), seen
+
+
+def _assert_solve_matches_hermite(A, b):
+    result = solve_diophantine(A, b)
+    assert (result.feasible, result.solution, result.basis) == solve_by_hermite(A, b)
+    return result.feasible
+
+
+def test_solve_matches_hermite_oracle_on_cz_systems():
+    """The echelon solve gives the Hermite oracle's verdict, solution and
+    basis on every pool cz input at graph and at curve level, with either
+    cocycle, and on graph-level systems at genus 7 and 8."""
+    pool = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                       / "pool.json").read_text(encoding="utf-8"))
+    seen = {True: 0, False: 0}
+    for entries in pool["cz"].values():
+        for entry in entries:
+            graph, _ = parse_graph_text(entry["graph"])
+            _, lengths = parse_graph_text(entry["curve"])
+            curve = TropicalCurve(graph, lengths)
+            for cocycle in entry["cocycles"].values():
+                ctx = build_cycle_context(graph, tree_hint=cocycle["tree"])
+                w = compute_w(CeresaCocycle(ctx, {(i, j, k): P(poly)
+                                                  for i, j, k, poly in cocycle["b"]}))
+                _, rows, rhs = _graph_system(ctx, w)
+                A = IntMatrix.from_rows(rows, cols=len(aab_keys(ctx.g)))
+                seen[_assert_solve_matches_hermite(A, rhs)] += 1
+                gens = _specialized_generators(ctx, curve)
+                A = IntMatrix.from_rows(gens.values()).transpose()
+                seen[_assert_solve_matches_hermite(A, specialize(w, curve))] += 1
+    rng = random.Random(78)
+    for g in (7, 7, 8, 8):
+        graph = random_multigraph(rng, g, max_vertices=5)
+        ctx = build_cycle_context(graph)
+        for v in (CeresaCocycle(ctx, random_abb_map(rng, ctx)), trivial_cocycle(rng, ctx)):
+            _, rows, rhs = _graph_system(ctx, compute_w(v))
+            A = IntMatrix.from_rows(rows, cols=len(aab_keys(g)))
+            seen[_assert_solve_matches_hermite(A, rhs)] += 1
     assert all(seen.values()), seen
 
 
@@ -311,9 +361,12 @@ def test_psi_columns_match_element_oracles():
         assert [kind for kind, _ in units] == sorted(kind for kind, _ in units)
 
 
-def test_zero_row_with_nonzero_rhs_is_infeasible():
+def test_zero_row_with_nonzero_rhs_is_infeasible(monkeypatch):
     """A class term on a bridge variable meets no generator: its equation
-    keeps a zero A-row, and the system stays infeasible."""
+    keeps a zero A-row, and the verdict is non-trivial before any
+    elimination."""
+    eliminations = []
+    monkeypatch.setattr(intlin, "_echelon", lambda rows, n: eliminations.append(n))
     graph = MultiGraph(["1", "2"], [("1", "1", "1"), ("2", "1", "1"), ("3", "2", "2"),
                                     ("4", "1", "2")])
     ctx = build_cycle_context(graph)
@@ -326,6 +379,7 @@ def test_zero_row_with_nonzero_rhs_is_infeasible():
     assert not verdict.trivial
     assert verdict.certificate == {"infeasible": True, "unknowns": len(aab_keys(3)),
                                    "equations": n_equations}
+    assert eliminations == []
 
 
 def test_image_lattice_generators_are_even():

@@ -7,7 +7,8 @@ from czgraph.intlin import (DimensionError, IntMatrix, hnf_basis,
                             lattice_membership, solve_diophantine)
 
 from lin_oracles import (determinant, hermite_normal_form, identity,
-                         kernel_basis, matmul, smith_normal_form, zeros)
+                         kernel_basis, matmul, smith_normal_form,
+                         solve_by_hermite, zeros)
 
 L3_GENS = [[2, 2, 0, 2], [0, 4, 0, 0], [0, 0, 2, 2], [0, 0, 0, 4]]
 
@@ -122,6 +123,28 @@ def test_solution_and_kernel_replay():
         for v in kernel:
             shifted = [a + c for a, c in zip(res.solution, v)]
             assert A.apply(shifted) == b
+
+
+def test_solve_matches_hermite_oracle_on_random_systems():
+    """The echelon solve, which never reduces above a pivot, gives the
+    Hermite oracle's verdict, solution and basis.  Where A has a kernel the
+    solution is not unique, so this also checks that both eliminations pick
+    the same pivots."""
+    rng = random.Random(67)
+    seen = {"feasible": 0, "infeasible": 0, "kernel": 0}
+    for _ in range(400):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        A = IntMatrix.from_rows([[rng.randint(-4, 4) if rng.random() < 0.7 else 0
+                                  for _ in range(n)] for _ in range(m)])
+        if rng.random() < 0.5:
+            b = A.apply([rng.randint(-5, 5) for _ in range(n)])
+        else:
+            b = [rng.randint(-6, 6) for _ in range(m)]
+        result = solve_diophantine(A, b)
+        assert (result.feasible, result.solution, result.basis) == solve_by_hermite(A, b)
+        seen["feasible" if result.feasible else "infeasible"] += 1
+        seen["kernel"] += bool(kernel_basis(A))
+    assert all(seen.values()), seen
 
 
 def test_brute_force_is_one_sided_oracle():
