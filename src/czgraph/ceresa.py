@@ -21,20 +21,18 @@ unit a_i^a_j^b_k reaches only the triples that contain k, where its
 coefficient is +-2 times a 2x2 minor of Q with columns i, j and rows the
 other two indices (`_twist_pattern`).  The C(g,2)^2 minors are computed once
 per decision (`_q_minors`) as quadratic forms over edge-position pairs: the
-graph level fills its integer equations straight from them, and the curve
-level evaluates them at the edge lengths.  The graph-level system keeps only
-the equations that can constrain it: one whose generator row and right-hand
-side are both zero is a zero column of A^T, which the elimination never
-pivots on, so the solution and certificate are the same as the full
-system's.  A kept equation with a zero generator row has a nonzero
-right-hand side, which no combination of generators reaches: it decides a
-non-trivial verdict before any elimination.  The class is
-`extalg.image1_forms` of the cocycle, and every trivial graph-level verdict
-is replayed through `extalg.image2_forms`, the 3x3-determinant closed form,
-derived independently of the kernel.  All of it, the validation and the
-transport are integer arithmetic on forms keyed by edge position (see
-`polyring`); the polynomials `CeresaCocycle.b` and `CZClass.c` are the
-text boundary.
+graph level fills its integer equations straight from them
+(`_graph_system`), and the curve level evaluates them at the edge lengths.
+The class is `extalg.image1_forms` of the cocycle, and every trivial
+graph-level verdict is replayed through `extalg.image2_forms`, the
+3x3-determinant closed form, derived independently of the kernel.
+
+`CeresaCocycle` and `CZClass` store their coefficients only as forms keyed
+by edge position (see `polyring`), and the class, the decisions and the
+transport are integer arithmetic on them.  Polynomials exist only where
+text is read or written: the public constructors validate polynomials into
+forms, and the views `b` and `c` render the forms the first time they are
+read.
 
 The minor-theoretic classifier ("minor-theorem") decides triviality of the
 graph itself: trivial exactly when there is no K4 or L3 minor.
@@ -43,9 +41,8 @@ graph itself: trivial exactly when there is no K4 or L3 minor.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 from math import prod
@@ -58,20 +55,20 @@ from .graph import (CycleBasisContext, InvariantError, MultiGraph,
                     ParseError, PreconditionError, TropicalCurve,
                     build_cycle_context, contract_edge, genus,
                     graph_from_json_dict, graph_to_json_dict, json_int,
-                    subdivide_edge)
+                    json_text, subdivide_edge)
 from .minors import MinorWitness, _first_pattern, _witness
 from .polyring import IntPolynomial, from_form, parse_polynomial, to_form
 
 
 def _validated(ctx: CycleBasisContext, coeffs: Mapping, keys, degree: int, what: str
-               ) -> tuple[dict[tuple[int, int, int], IntPolynomial],
-                          dict[tuple[int, int, int], Form]]:
-    """The nonzero coefficients, keyed by keys(g), as homogeneous polynomials
-    of the given degree in the graph's edge variables, and as forms."""
+               ) -> dict[tuple[int, int, int], Form]:
+    """The nonzero coefficients, keyed by keys(g), as forms over the graph's
+    edge positions; each must be a homogeneous polynomial of the given
+    degree in the graph's edge variables."""
     legal = set(keys(ctx.g))
     # an id that is not an edge reads -1, so a form key that uses one starts with -1
     pos = defaultdict(lambda: -1, ((e.id, n) for n, e in enumerate(ctx.graph.edges)))
-    polys, forms = {}, {}
+    forms = {}
     for key, poly in coeffs.items():
         key = tuple(int(x) for x in key)
         if key not in legal:
@@ -86,27 +83,46 @@ def _validated(ctx: CycleBasisContext, coeffs: Mapping, keys, degree: int, what:
         if any(m[0] < 0 for m in form):
             stray = sorted(v for v in poly.variables() if pos[v] < 0)
             raise PreconditionError(f"{what} coefficient at {key} uses unknown edges {stray}")
-        polys[key], forms[key] = poly, form
-    return polys, forms
+        forms[key] = form
+    return forms
 
 
 @dataclass(frozen=True)
-class CeresaCocycle:
-    """Representative v with coefficients b[(i, j, k)] on a_i^b_j^b_k, j < k.
-
-    Every coefficient must be a homogeneous linear form in the edge
-    variables of the context's graph; `forms` holds them over edge positions.
-    """
+class _Coefficients:
+    """Nonzero coefficients keyed by index triples, stored only as forms
+    over the positions of the context graph's edges (see `polyring`)."""
 
     context: CycleBasisContext
-    b: Mapping[tuple[int, int, int], IntPolynomial]
-    forms: Mapping[tuple[int, int, int], Form] = field(
-        init=False, compare=False, repr=False)
+    forms: Mapping[tuple[int, int, int], Form]
 
-    def __post_init__(self):
-        b, forms = _validated(self.context, self.b, abb_keys, 1, "cocycle")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "forms", forms)
+    @classmethod
+    def _derived(cls, context: CycleBasisContext, forms: dict[tuple[int, int, int], Form]):
+        """An instance on new forms the caller knows to be valid (legal keys and
+        degree, the context's edge positions, no zero term); nothing is checked."""
+        obj = cls.__new__(cls)
+        _Coefficients.__init__(obj, context, forms)
+        return obj
+
+    def _rendered(self) -> dict[tuple[int, int, int], IntPolynomial]:
+        names = self.context.graph.edge_ids()
+        return {key: from_form(form, names) for key, form in self.forms.items()}
+
+    def is_zero(self) -> bool:
+        return not self.forms
+
+
+@dataclass(frozen=True, init=False)
+class CeresaCocycle(_Coefficients):
+    """Representative v with coefficients b[(i, j, k)] on a_i^b_j^b_k, j < k.
+
+    Every coefficient is a homogeneous linear form in the edge variables of
+    the context's graph; the view `b` renders the stored `forms` when first read.
+    """
+
+    def __init__(self, context: CycleBasisContext, b: Mapping):
+        super().__init__(context, _validated(context, b, abb_keys, 1, "cocycle"))
+
+    b = cached_property(_Coefficients._rendered)
 
     @property
     def graph(self) -> MultiGraph:
@@ -116,12 +132,7 @@ class CeresaCocycle:
     def cz_class(self) -> CZClass:
         """The class (delta_G - I)(v) via the closed form on forms, computed
         once per cocycle; `compute_w` returns it."""
-        names = [e.id for e in self.graph.edges]
-        forms = image1_forms(self.context.q_forms, self.forms)
-        return CZClass(self.context, {t: from_form(f, names) for t, f in forms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.b
+        return CZClass._derived(self.context, image1_forms(self.context.q_forms, self.forms))
 
     def to_json_dict(self) -> dict:
         return {
@@ -148,24 +159,16 @@ class CeresaCocycle:
         return cls(build_cycle_context(graph, tree_hint=tree), b)
 
 
-@dataclass(frozen=True)
-class CZClass:
+@dataclass(frozen=True, init=False)
+class CZClass(_Coefficients):
     """Class w with coefficients c[(r, s, t)] on b_r^b_s^b_t, r < s < t,
-    homogeneous quadratic in the edge variables.  The decisions read them
-    as `forms` over the edge positions."""
+    homogeneous quadratic in the edge variables.  The decisions read only
+    the stored `forms`; the view `c` renders them when first read."""
 
-    context: CycleBasisContext
-    c: Mapping[tuple[int, int, int], IntPolynomial]
-    forms: Mapping[tuple[int, int, int], Form] = field(
-        init=False, compare=False, repr=False)
+    def __init__(self, context: CycleBasisContext, c: Mapping):
+        super().__init__(context, _validated(context, c, triple_indices, 2, "class"))
 
-    def __post_init__(self):
-        c, forms = _validated(self.context, self.c, triple_indices, 2, "class")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "forms", forms)
-
-    def is_zero(self) -> bool:
-        return not self.c
+    c = cached_property(_Coefficients._rendered)
 
     def to_json_dict(self) -> dict:
         return {"c": [{"r": r, "s": s, "t": t, "poly": str(p)}
@@ -201,11 +204,11 @@ class TrivialityVerdict:
         return out
 
     def replay_hash(self) -> str:
-        body = json.dumps(_jsonable({
+        body = json_text(_jsonable({
             "trivial": self.trivial,
             "method": self.method,
             "certificate": self.certificate,
-        }), sort_keys=True, separators=(",", ":"))
+        }), compact=True)
         return hashlib.sha256(body.encode()).hexdigest()[:16]
 
 
@@ -435,30 +438,30 @@ def is_cz_trivial_curve(curve: TropicalCurve, v: CeresaCocycle) -> TrivialityVer
 def pushforward_contract(v: CeresaCocycle, edge_id: str) -> CeresaCocycle:
     """Transport the cocycle along contraction of a non-loop tree edge.
 
-    Drops the contracted edge's position from every coefficient's form
-    (x_f -> 0) and rebuilds the context on the contracted graph with the
-    induced tree, so the basis cycles and indices carry over unchanged.
-    Commutes with taking classes: killing the variable before or after
-    (delta - I) gives the same result.
+    Drops the contracted edge's position from every form (x_f -> 0),
+    shifts each later position down by one, and rebuilds the context on
+    the contracted graph with the induced tree, so the basis cycles and
+    indices carry over unchanged.  Commutes with taking classes: killing
+    the variable before or after (delta - I) gives the same result.
     """
     edge_id = str(edge_id)
     ctx = v.context
-    e = ctx.graph.edge(edge_id)
-    if e.is_loop():
-        raise PreconditionError(f"cannot contract loop edge {edge_id!r}")
+    # refuses an unknown edge and a loop, which no spanning tree contains
+    contracted = contract_edge(ctx.graph, edge_id)
     if edge_id not in ctx.tree:
         raise PreconditionError(
             f"edge {edge_id!r} is not in the context's spanning tree; "
             "rebuild the context with a tree containing it first")
-    contracted = contract_edge(ctx.graph, edge_id)
     new_tree = [t for t in ctx.tree if t != edge_id]
     new_ctx = build_cycle_context(contracted, tree_hint=new_tree,
                                   basis_order=ctx.basis_edges())
-    names = [e.id for e in ctx.graph.edges]
-    gone = (names.index(edge_id),)
-    new_b = {key: from_form({m: c for m, c in form.items() if m != gone}, names)
-             for key, form in v.forms.items()}
-    return CeresaCocycle(new_ctx, new_b)
+    gone = ctx.graph.edge_ids().index(edge_id)
+    new_forms = {}
+    for key, form in v.forms.items():
+        moved = {(p - (p > gone),): c for (p,), c in form.items() if p != gone}
+        if moved:
+            new_forms[key] = moved
+    return CeresaCocycle._derived(new_ctx, new_forms)
 
 
 def pushforward_subdivide(v: CeresaCocycle, edge_id: str) -> CeresaCocycle:
@@ -466,12 +469,12 @@ def pushforward_subdivide(v: CeresaCocycle, edge_id: str) -> CeresaCocycle:
 
     The halves are named <id>a and <id>b; the first half takes over the
     edge's role (basis slot or tree membership) and the second half joins
-    the tree.  Coefficients substitute x_f -> x_fa + x_fb: each form's
-    position of f is renamed <id>a, and its coefficient copied to <id>b.
+    the tree.  Coefficients substitute x_f -> x_fa + x_fb: each position
+    moves to its edge's position in the subdivided graph, where the halves
+    need not be adjacent (2a < 2a0 < 2b), and f's coefficient goes to both.
     """
     edge_id = str(edge_id)
     ctx = v.context
-    ctx.graph.edge(edge_id)
     id1, id2 = edge_id + "a", edge_id + "b"
     divided = subdivide_edge(ctx.graph, edge_id)
     if edge_id in ctx.tree:
@@ -481,11 +484,13 @@ def pushforward_subdivide(v: CeresaCocycle, edge_id: str) -> CeresaCocycle:
         new_tree = list(ctx.tree) + [id2]
         new_basis = [id1 if b == edge_id else b for b in ctx.basis_edges()]
     new_ctx = build_cycle_context(divided, tree_hint=new_tree, basis_order=new_basis)
-    names = [id1 if e.id == edge_id else e.id for e in ctx.graph.edges] + [id2]
-    split, half = (names.index(id1),), (len(names) - 1,)
-    new_b = {key: from_form(form | {half: form[split]} if split in form else form, names)
-             for key, form in v.forms.items()}
-    return CeresaCocycle(new_ctx, new_b)
+    pos = {e.id: n for n, e in enumerate(divided.edges)}
+    # each old position's positions in the subdivided graph: f's are both halves'
+    move = [(pos[id1], pos[id2]) if e.id == edge_id else (pos[e.id],)
+            for e in ctx.graph.edges]
+    new_forms = {key: {(q,): c for (p,), c in form.items() for q in move[p]}
+                 for key, form in v.forms.items()}
+    return CeresaCocycle._derived(new_ctx, new_forms)
 
 
 # -- minor-theoretic classifier ----------------------------------------------
@@ -540,31 +545,19 @@ def l3_context() -> CycleBasisContext:
     return build_cycle_context(l3_graph(), tree_hint=["5", "6"])
 
 
-def _v_tau_k4() -> CeresaCocycle:
-    x2 = IntPolynomial.variable("2")
-    x5 = IntPolynomial.variable("5")
-    return CeresaCocycle(k4_context(), {
-        (1, 1, 2): x2,
-        (2, 1, 2): -x5,
-        (2, 2, 3): -x5,
-        (2, 1, 3): x5,
-    })
-
-
-def _v_tau_l3() -> CeresaCocycle:
-    x5 = IntPolynomial.variable("5")
-    x6 = IntPolynomial.variable("6")
-    return CeresaCocycle(l3_context(), {
-        (2, 2, 3): x6,
-        (2, 2, 4): x6,
-        (2, 1, 2): -x6,
-        (1, 1, 2): -x5,
-        (1, 1, 3): -x5,
-        (1, 1, 4): -x5,
-    })
-
-
-V_TAU_K4 = _v_tau_k4()
-V_TAU_L3 = _v_tau_l3()
+V_TAU_K4 = CeresaCocycle(k4_context(), {
+    (1, 1, 2): parse_polynomial("x2"),
+    (2, 1, 2): parse_polynomial("-x5"),
+    (2, 2, 3): parse_polynomial("-x5"),
+    (2, 1, 3): parse_polynomial("x5"),
+})
+V_TAU_L3 = CeresaCocycle(l3_context(), {
+    (2, 2, 3): parse_polynomial("x6"),
+    (2, 2, 4): parse_polynomial("x6"),
+    (2, 1, 2): parse_polynomial("-x6"),
+    (1, 1, 2): parse_polynomial("-x5"),
+    (1, 1, 3): parse_polynomial("-x5"),
+    (1, 1, 4): parse_polynomial("-x5"),
+})
 
 BUILTIN_COCYCLES = {"K4": V_TAU_K4, "L3": V_TAU_L3}

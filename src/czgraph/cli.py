@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .ceresa import (BUILTIN_COCYCLES, CeresaCocycle, InvariantError,
 from .extalg import triple_indices
 from .graph import (GraphError, MultiGraph, ParseError, PreconditionError,
                     TropicalCurve, blocks, build_cycle_context, genus,
-                    load_graph_file, parse_json, read_input_file)
+                    json_text, load_graph_file, parse_json, read_input_file)
 from .intlin import DimensionError
 from .minors import (canonical_form, enumerate_graphs, has_minor,
                      is_hyperelliptic_type, single_step_minors)
@@ -48,14 +47,15 @@ class CommandReport:
                 "result": self.result, "exact": self.exact}
 
     def render(self, compact: bool) -> str:
-        data = self.to_json_dict()
-        if compact:
-            return json.dumps(data, sort_keys=True, separators=(",", ":"))
-        return json.dumps(data, sort_keys=True, indent=2)
+        return json_text(self.to_json_dict(), compact)
 
 
-def _parse_lengths(csv: str, graph: MultiGraph) -> dict[str, int]:
-    """Positional lengths along the graph's edge ordering e_1..e_n."""
+def _lengths(csv: str | None, graph: MultiGraph, file_lengths: dict[str, int] | None
+             ) -> dict[str, int] | None:
+    """The --lengths value, positional along the graph's edge ordering
+    e_1..e_n; without one, the graph file's lengths, if it has any."""
+    if not csv:
+        return file_lengths or None
     parts = [p.strip() for p in csv.split(",") if p.strip()]
     ids = graph.edge_ids()
     if len(parts) != len(ids):
@@ -121,11 +121,7 @@ def _cmd_classify(args) -> CommandReport:
 def _cmd_cz_test(args) -> CommandReport:
     graph, file_lengths = load_graph_file(args.graphfile)
     cocycle = _load_cocycle(args.cocycle, graph)
-    lengths = None
-    if args.lengths:
-        lengths = _parse_lengths(args.lengths, graph)
-    elif file_lengths:
-        lengths = file_lengths
+    lengths = _lengths(args.lengths, graph, file_lengths)
     if lengths is not None:
         curve = TropicalCurve(graph, lengths)
         verdict = is_cz_trivial_curve(curve, cocycle)
@@ -158,11 +154,8 @@ def _cmd_minor(args) -> CommandReport:
 
 def _cmd_lattice(args) -> CommandReport:
     graph, file_lengths = load_graph_file(args.graphfile)
-    if args.lengths:
-        lengths = _parse_lengths(args.lengths, graph)
-    elif file_lengths:
-        lengths = file_lengths
-    else:
+    lengths = _lengths(args.lengths, graph, file_lengths)
+    if lengths is None:
         raise PreconditionError("lattice needs edge lengths (--lengths or in the file)")
     curve = TropicalCurve(graph, lengths)
     ctx = build_cycle_context(graph, tree_hint=_parse_tree(args.tree))

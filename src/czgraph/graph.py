@@ -26,6 +26,7 @@ All structures are immutable values.
 from __future__ import annotations
 
 import json
+import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -585,6 +586,19 @@ def parse_json(text: str, what: str):
         raise ParseError(f"bad {what}: {exc.msg}", exc.lineno) from None
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad {what}: {exc}") from None
+
+
+def json_text(data, compact: bool) -> str:
+    """The data as JSON with sorted keys, compact or indented by two.  CPython
+    writes no int of more than 4,300 digits; the limit is lifted for this
+    call only, so computed integers print in full and parsing keeps it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(data, sort_keys=True, indent=None if compact else 2,
+                          separators=(",", ":") if compact else None)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def json_int(value) -> int:

@@ -19,7 +19,7 @@ from czgraph.graph import (MultiGraph, PreconditionError, TropicalCurve,
                            blocks, build_cycle_context, genus, load_graph_file,
                            parse_graph_text, specialize_Q)
 from czgraph.intlin import IntMatrix, solve_diophantine
-from czgraph.polyring import IntPolynomial
+from czgraph.polyring import IntPolynomial, Monomial
 from czgraph.polyring import parse_polynomial as P
 
 from conftest import (random_aab_map, random_abb_map, random_multigraph,
@@ -506,7 +506,8 @@ def test_decisions_do_no_polynomial_arithmetic(monkeypatch):
     """Once the cocycle is parsed, the class, both verdicts, the
     specialization of Q and the transport along contraction and subdivision
     compute on integer forms: on pool-g5-1 with either cocycle, no
-    IntPolynomial is added, negated or multiplied."""
+    IntPolynomial is added, negated or multiplied, and no IntPolynomial or
+    Monomial is built."""
     inputs = Path(__file__).resolve().parent / "golden" / "inputs"
     _, lengths = load_graph_file(str(inputs / "pool-g5-1-curve.txt"))
     cocycles = [CeresaCocycle.from_json_dict(json.loads(
@@ -518,6 +519,10 @@ def test_decisions_do_no_polynomial_arithmetic(monkeypatch):
         monkeypatch.setattr(IntPolynomial, name,
                             lambda *args, _name=name, _real=getattr(IntPolynomial, name):
                             calls.append(_name) or _real(*args))
+    for cls in (IntPolynomial, Monomial):
+        monkeypatch.setattr(cls, "__init__",
+                            lambda *args, _cls=cls, _real=cls.__init__:
+                            calls.append(_cls.__name__) or _real(*args))
     verdicts, moved = [], 0
     for v in cocycles:
         compute_w(v)
@@ -562,6 +567,41 @@ def test_subdivide_then_contract_half_round_trips():
     renamed = {key: substitute(poly, "5", P("x5a"))
                for key, poly in V_TAU_K4.b.items()}
     assert back.b == renamed
+
+
+def test_transport_when_half_ids_sort_around_another_edge():
+    """K4 with edge 6 renamed 2a0: subdividing 2 orders the edges 1, 2a,
+    2a0, 2b, 3, 4, 5, so the halves are not adjacent.  Both pushforwards
+    and subdivide-then-contract agree with substitution on the
+    polynomials, with 2 in the tree and out of it."""
+    base = k4_graph()
+    graph = MultiGraph(base.vertices, [("2a0" if e.id == "6" else e.id, e.tail, e.head)
+                                       for e in base.edges])
+    half = P("x2a") + P("x2b")
+    rng = random.Random(23)
+    for tree in (["4", "5", "2a0"], ["2", "5", "2a0"]):
+        ctx = build_cycle_context(graph, tree_hint=tree)
+        for _ in range(4):
+            v = CeresaCocycle(ctx, random_abb_map(rng, ctx, density=0.6))
+            w = compute_w(v).c
+            moved = pushforward_subdivide(v, "2")
+            assert moved.graph.edge_ids() == ["1", "2a", "2a0", "2b", "3", "4", "5"]
+            assert moved.b == _substituted(v.b, "2", half)
+            assert compute_w(moved).c == _substituted(w, "2", half)
+            contracted = pushforward_contract(v, "2a0")
+            assert contracted.b == _substituted(v.b, "2a0", 0)
+            assert compute_w(contracted).c == _substituted(w, "2a0", 0)
+            back = pushforward_contract(moved, "2b")
+            assert back.b == _substituted(v.b, "2", P("x2a"))
+            assert compute_w(back).c == _substituted(w, "2", P("x2a"))
+            for f in ("2a0",) + (("2a",) if "2" in tree else ()):
+                assert (pushforward_contract(moved, f).b
+                        == _substituted(moved.b, f, 0))
+
+
+def _substituted(coeffs, var, replacement):
+    out = {key: substitute(poly, var, replacement) for key, poly in coeffs.items()}
+    return {key: poly for key, poly in out.items() if not poly.is_zero()}
 
 
 def test_subdivide_zero_cocycle(k4_ctx):

@@ -3,6 +3,8 @@ import copy
 import dataclasses
 import io
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -413,12 +415,13 @@ def assert_usage_error(err: str) -> None:
     (_cocycle_argv, _bad_poly("\u0663*x2"), None),
     (_cocycle_argv, _bad_poly("x2^\u0663"), None),
     (_cocycle_argv, _bad_poly("\u00b2*x2"), None),
+    (_lengths_argv(",".join(["1" + "0" * 4300] * 3)), THREE_LOOPS, None),
 ], ids=["graph-length-1e400", "graph-length-float", "graph-length-bool",
         "cocycle-index-1e400", "graph-not-utf8", "cocycle-not-utf8",
         "graph-text-length-underscore", "graph-text-length-arabic-indic",
         "lengths-underscore", "lengths-arabic-indic", "max-edges-underscore",
         "poly-coefficient-arabic-indic", "poly-exponent-arabic-indic",
-        "poly-coefficient-superscript"])
+        "poly-coefficient-superscript", "lengths-4301-digits"])
 def test_exit_code_malformed_numbers_and_bytes(tmp_path, argv, data, stderr):
     code, err = _run_on_file(tmp_path / "input", data, argv(tmp_path / "input"))
     assert code == EXIT_PARSE
@@ -426,6 +429,30 @@ def test_exit_code_malformed_numbers_and_bytes(tmp_path, argv, data, stderr):
         assert_usage_error(err)
     else:
         assert err.startswith("parse error:") and err.count("\n") == 1
+
+
+# 2,501 digits: the class and the lattice at these lengths are 5,001-digit
+# integers, past CPython's 4,300-digit limit on int -> str
+BIG_LENGTHS = ",".join(["1" + "0" * 2500] * 6)
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (["cz-test", K4_FIXTURE, "--cocycle", "builtin:K4"], "-2" + "0" * 5000),
+    (["lattice", K4_FIXTURE], "8" + "0" * 5000),
+], ids=["cz-test", "lattice"])
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["indented", "json"])
+def test_oversized_integers_print_in_full(capsys, argv, expect, flags):
+    """K4 at six lengths of 10^2500: the specialized class is -2 * 10^5000
+    and the lattice 8 * 10^5000 (-2 and 8 at unit lengths).  Reports print
+    them in full and exit 0, through main and through run_command, and the
+    limit is back in place after each."""
+    argv = argv + ["--lengths", BIG_LENGTHS]
+    limit = sys.get_int_max_str_digits()
+    assert main(argv + flags) == EXIT_OK
+    out = capsys.readouterr().out
+    assert expect in re.findall(r"-?[0-9]+", out)
+    assert run_command(argv).render(compact=bool(flags)) == out.rstrip("\n")
+    assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize("columns", ["50", "200"])
