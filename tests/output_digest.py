@@ -19,6 +19,12 @@ the same script drives either checkout.  The inputs are
   sparse random cocycle and a cocycle that is trivial by construction
   (`conftest.trivial_cocycle`): cz-test at graph and at curve level;
 * a few inputs that exercise the integer grammar of the text formats;
+* cz-test at graph and at curve level on every single subdivision and every
+  tree-edge contraction of the two builtin cocycles and of the first three
+  pool inputs at genus 3 and at genus 4 (both cocycles), the cocycle files
+  written from `pushforward_subdivide` and `pushforward_contract`;
+* cz-test and lattice on K4 at six lengths of 2,501 digits, whose outputs
+  hold integers past CPython's 4,300-digit limit on int -> str;
 * classify and minor on series-parallel blocks: ladders with 5-8 rungs,
   cycles with 1-5 doubled edges, and seeded random series-parallel
   compositions at genus 4-8;
@@ -28,7 +34,8 @@ the same script drives either checkout.  The inputs are
 
 Input files are written to a temporary directory that is the working
 directory during the calls, so paths in the output do not depend on it.
-Pytest does not collect this file.
+An exception that escapes `main` is recorded as exit code 1, as the
+`czgraph` process would exit.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ import random
 import tempfile
 from pathlib import Path
 
-from czgraph.ceresa import CeresaCocycle, k4_graph
+from czgraph.ceresa import (BUILTIN_COCYCLES, CeresaCocycle, k4_graph,
+                            pushforward_contract, pushforward_subdivide)
 from czgraph.cli import main
 from czgraph.graph import (MultiGraph, build_cycle_context, genus,
                            parse_graph_text, render_graph_text)
@@ -65,12 +73,17 @@ GRAMMAR_FILES = {
 }
 GRAMMAR_LENGTHS = ("1_0,3, +2", "1,٣,2", "1, +2,3", " 1,2,3 ")
 GRAMMAR_POLYS = ("٣*x2", "x2^٣", "²*x2", "3*x2^2", "+2*x2")
+TRANSPORT_POOL = {"g3": 3, "g4": 3}
+BIG_LENGTH = "1" + "0" * 2500
 
 
 def call(call_id: str, argv: list[str]) -> None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv + ["--json"])
+        try:
+            code = main(argv + ["--json"])
+        except Exception:
+            code = 1
     digest = hashlib.sha256((out.getvalue() + err.getvalue()).encode()).hexdigest()
     print(call_id, code, digest[:16])
 
@@ -173,6 +186,39 @@ def grammar_calls() -> None:
                                    write(f"poly-{n}.json", json.dumps(body))])
 
 
+def transport_calls(pool: dict) -> None:
+    cocycles = {f"builtin-{name}": v for name, v in sorted(BUILTIN_COCYCLES.items())}
+    for stratum, count in TRANSPORT_POOL.items():
+        for n, entry in enumerate(pool["cz"][stratum][:count]):
+            for kind, cocycle in sorted(entry["cocycles"].items()):
+                body = {"graph": graph_dict(parse_graph_text(entry["graph"])[0]),
+                        "tree": cocycle["tree"],
+                        "b": [{"i": i, "j": j, "k": k, "poly": poly}
+                              for i, j, k, poly in cocycle["b"]]}
+                cocycles[f"pool-{stratum}-{n}-{kind}"] = CeresaCocycle.from_json_dict(body)
+    rng = random.Random(SEED)
+    for stem, v in cocycles.items():
+        moved = {f"subdivide-{e.id}": pushforward_subdivide(v, e.id) for e in v.graph.edges}
+        moved |= {f"contract-{f}": pushforward_contract(v, f) for f in v.context.tree
+                  if not v.graph.edge(f).is_loop()}
+        for step, w in moved.items():
+            name = f"{stem}-{step}"
+            lengths = {e.id: rng.randint(1, 5) for e in w.graph.edges}
+            path = write(f"{name}.txt", render_graph_text(w.graph))
+            curve = write(f"{name}-curve.txt", render_graph_text(w.graph, lengths))
+            cocycle = write(f"{name}.json", json.dumps(w.to_json_dict()))
+            call(f"transport-{name}/cz-test-diophantine", ["cz-test", path, "--cocycle", cocycle])
+            call(f"transport-{name}/cz-test-curve", ["cz-test", curve, "--cocycle", cocycle])
+
+
+def oversized_calls() -> None:
+    k4_path = write("k4-big.txt", render_graph_text(k4_graph()))
+    lengths = ",".join([BIG_LENGTH] * 6)
+    call("oversized/cz-test", ["cz-test", k4_path, "--cocycle", "builtin:K4",
+                               "--lengths", lengths])
+    call("oversized/lattice", ["lattice", k4_path, "--lengths", lengths])
+
+
 def series_parallel_calls() -> None:
     graphs = {f"ladder-{r}": ladder(r) for r in range(5, 9)}
     graphs |= {f"thick-cycle-{k}-{n}": thick_cycle(k, n)
@@ -211,6 +257,8 @@ def run() -> None:
             random_calls()
             large_calls()
             grammar_calls()
+            transport_calls(pool)
+            oversized_calls()
             series_parallel_calls()
             pendant_calls()
             call("verify-theorem-6", ["verify-theorem", "--max-edges", "6"])
