@@ -98,6 +98,12 @@ def graph_dict(graph: MultiGraph) -> dict:
             "edges": [{"id": e.id, "tail": e.tail, "head": e.head} for e in graph.edges]}
 
 
+def pool_cocycle(graph_text: str, cocycle: dict) -> dict:
+    """The cocycle JSON of a pool entry's compact cocycle."""
+    return {"graph": graph_dict(parse_graph_text(graph_text)[0]), "tree": cocycle["tree"],
+            "b": [{"i": i, "j": j, "k": k, "poly": poly} for i, j, k, poly in cocycle["b"]]}
+
+
 def pool_calls(pool: dict) -> None:
     for stratum, entries in pool["cz"].items():
         for n, entry in enumerate(entries):
@@ -107,10 +113,7 @@ def pool_calls(pool: dict) -> None:
             call(f"{stem}/qmatrix", ["qmatrix", graph])
             call(f"{stem}/lattice", ["lattice", curve])
             for kind, cocycle in sorted(entry["cocycles"].items()):
-                body = {"graph": graph_dict(parse_graph_text(entry["graph"])[0]),
-                        "tree": cocycle["tree"],
-                        "b": [{"i": i, "j": j, "k": k, "poly": poly}
-                              for i, j, k, poly in cocycle["b"]]}
+                body = pool_cocycle(entry["graph"], cocycle)
                 path = write(f"{stem}-{kind}.json", json.dumps(body))
                 call(f"{stem}/cz-test-diophantine-{kind}",
                      ["cz-test", graph, "--cocycle", path])
@@ -191,10 +194,7 @@ def transport_calls(pool: dict) -> None:
     for stratum, count in TRANSPORT_POOL.items():
         for n, entry in enumerate(pool["cz"][stratum][:count]):
             for kind, cocycle in sorted(entry["cocycles"].items()):
-                body = {"graph": graph_dict(parse_graph_text(entry["graph"])[0]),
-                        "tree": cocycle["tree"],
-                        "b": [{"i": i, "j": j, "k": k, "poly": poly}
-                              for i, j, k, poly in cocycle["b"]]}
+                body = pool_cocycle(entry["graph"], cocycle)
                 cocycles[f"pool-{stratum}-{n}-{kind}"] = CeresaCocycle.from_json_dict(body)
     rng = random.Random(SEED)
     for stem, v in cocycles.items():

@@ -577,7 +577,7 @@ def test_transport_when_half_ids_sort_around_another_edge():
     base = k4_graph()
     graph = MultiGraph(base.vertices, [("2a0" if e.id == "6" else e.id, e.tail, e.head)
                                        for e in base.edges])
-    half = P("x2a") + P("x2b")
+    half = P("x2a + x2b")
     rng = random.Random(23)
     for tree in (["4", "5", "2a0"], ["2", "5", "2a0"]):
         ctx = build_cycle_context(graph, tree_hint=tree)
