@@ -55,22 +55,25 @@ from .graph import (CycleBasisContext, InvariantError, MultiGraph,
                     ParseError, PreconditionError, TropicalCurve,
                     build_cycle_context, contract_edge, genus,
                     graph_from_json_dict, graph_to_json_dict, json_int,
-                    json_text, subdivide_edge)
+                    json_str, json_text, subdivide_edge)
 from .minors import MinorWitness, _first_pattern, _witness
 from .polyring import IntPolynomial, from_form, parse_polynomial, to_form
 
 
 def _validated(ctx: CycleBasisContext, coeffs: Mapping, keys, degree: int, what: str
                ) -> dict[tuple[int, int, int], Form]:
-    """The nonzero coefficients, keyed by keys(g), as forms over the graph's
-    edge positions; each must be a homogeneous polynomial of the given
-    degree in the graph's edge variables."""
+    """The nonzero coefficients, keyed by keys(g) of ints (`json_int`), as
+    forms over the graph's edge positions; each must be a homogeneous
+    polynomial of the given degree in the graph's edge variables."""
     legal = set(keys(ctx.g))
     # an id that is not an edge reads -1, so a form key that uses one starts with -1
     pos = defaultdict(lambda: -1, ((e.id, n) for n, e in enumerate(ctx.graph.edges)))
     forms = {}
     for key, poly in coeffs.items():
-        key = tuple(int(x) for x in key)
+        try:
+            key = tuple(json_int(x) for x in key)
+        except TypeError as exc:
+            raise PreconditionError(f"{what} index {key!r}: {exc}") from None
         if key not in legal:
             raise PreconditionError(f"{what} index {key} out of range")
         poly = IntPolynomial.coerce(poly)
@@ -117,7 +120,10 @@ class CeresaCocycle(_Coefficients):
 
     Every coefficient is a homogeneous linear form in the edge variables of
     the context's graph; the view `b` renders the stored `forms` when first read.
+    Cocycles compare by value and are unhashable on purpose.
     """
+
+    __hash__ = None
 
     def __init__(self, context: CycleBasisContext, b: Mapping):
         super().__init__(context, _validated(context, b, abb_keys, 1, "cocycle"))
@@ -147,8 +153,10 @@ class CeresaCocycle(_Coefficients):
         """Raises ParseError for malformed data, before any graph check."""
         try:
             graph_data, tree = data["graph"], data.get("tree")
-            if tree is not None and not isinstance(tree, list):
-                raise TypeError("tree must be a list of edge ids")
+            if tree is not None:
+                if not isinstance(tree, list):
+                    raise TypeError("tree must be a list of edge ids")
+                tree = [json_str(t) for t in tree]
             b = {(json_int(item["i"]), json_int(item["j"]), json_int(item["k"])):
                  parse_polynomial(item["poly"]) for item in data["b"]}
         except KeyError as exc:
@@ -163,7 +171,10 @@ class CeresaCocycle(_Coefficients):
 class CZClass(_Coefficients):
     """Class w with coefficients c[(r, s, t)] on b_r^b_s^b_t, r < s < t,
     homogeneous quadratic in the edge variables.  The decisions read only
-    the stored `forms`; the view `c` renders them when first read."""
+    the stored `forms`; the view `c` renders them when first read.  Classes
+    compare by value and are unhashable on purpose."""
+
+    __hash__ = None
 
     def __init__(self, context: CycleBasisContext, c: Mapping):
         super().__init__(context, _validated(context, c, triple_indices, 2, "class"))

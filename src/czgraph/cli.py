@@ -2,8 +2,11 @@
 tests and the self-verification harness.
 
 All reports are deterministic: identical inputs produce byte-identical
-output.  Exit codes: 0 ok, 2 parse/usage error, 3 precondition violation,
-4 internal invariant failure.
+output.  Exit codes: 0 ok; 2 for a usage error or a file's grammar (syntax,
+the edge-id and integer grammars, JSON ids that are not strings, lengths on
+only some edges); 3 for what a well-formed file describes (repeated edge
+ids, an empty or disconnected graph) and every other precondition
+violation, the same in either graph format; 4 internal invariant failure.
 """
 
 from __future__ import annotations

@@ -12,13 +12,13 @@ tree (`_bfs_tree`).  It checks connectivity and tests bridges, and it
 builds the single spanning tree, rooted at the least vertex id, from which
 every fundamental cycle is read by walking parent edges.
 
-Public construction validates: `MultiGraph(...)` sorts the edges, rejects
-repeated edge ids and checks connectivity.  A graph derived from a valid
-one by an operation that keeps validity skips those checks
-(`MultiGraph._derived`): `contract_edge`, `delete_edge` once its bridge
-test has passed, each block of `blocks`, the non-bridge deletions of
-`minors.single_step_minors` and the labellings of
-`minors.enumerate_graphs`.
+Public construction validates: `MultiGraph(...)` sorts the edges and
+refuses repeated edge ids, an empty graph and a disconnected one; the file
+readers check only their own grammar.  A graph derived from a valid one by
+an operation that keeps validity skips those checks (`MultiGraph._derived`):
+`contract_edge`, `delete_edge` once its bridge test has passed, each block
+of `blocks`, the non-bridge deletions of `minors.single_step_minors` and
+the labellings of `minors.enumerate_graphs`.
 
 All structures are immutable values.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import sys
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -87,17 +87,14 @@ class MultiGraph:
         vs = {str(v) for v in vertices}
         es = []
         for e in edges:
-            if not isinstance(e, Edge):
-                e = Edge(str(e[0]), str(e[1]), str(e[2]))
-            else:
-                e = Edge(str(e.id), str(e.tail), str(e.head))
+            e = Edge(str(e[0]), str(e[1]), str(e[2]))
             es.append(e)
             vs.add(e.tail)
             vs.add(e.head)
         es.sort(key=lambda e: idkey(e.id))
         ids = [e.id for e in es]
         if len(set(ids)) != len(ids):
-            dup = sorted({i for i in ids if ids.count(i) > 1})
+            dup = sorted(i for i, n in Counter(ids).items() if n > 1)
             raise GraphError(f"duplicate edge ids: {dup}")
         if not vs:
             raise GraphError("graph needs at least one vertex")
@@ -126,9 +123,6 @@ class MultiGraph:
             return self._by_id[str(edge_id)]
         except KeyError:
             raise GraphError(f"no edge with id {edge_id!r}") from None
-
-    def has_edge(self, edge_id: str) -> bool:
-        return str(edge_id) in self._by_id
 
     def edge_ids(self) -> list[str]:
         return [e.id for e in self.edges]
@@ -303,13 +297,11 @@ def _without(g: MultiGraph, e: Edge) -> MultiGraph:
 def subdivide_edge(g: MultiGraph, edge_id: str) -> MultiGraph:
     """Replace edge f = (t, h) by t -> m -> h through a fresh 2-valent vertex.
 
-    The half ids are f+"a" and f+"b"; the new vertex id is "m"+f.
+    The half ids are f+"a" and f+"b"; `MultiGraph` refuses one already in use.
+    The new vertex id is "m"+f.
     """
     e = g.edge(edge_id)
     id1, id2 = e.id + "a", e.id + "b"
-    for nid in (id1, id2):
-        if g.has_edge(nid):
-            raise GraphError(f"subdivision id {nid!r} already in use")
     mid = f"m{e.id}"
     while mid in g.vertices:
         mid += "_"
@@ -417,8 +409,10 @@ class CycleBasisContext:
     fundamental cycle, oriented along its defining edge.  Q[i][j] is the
     linear form sum_e s_i(e) s_j(e) x_e: `q_forms` holds it as a form over
     the positions of the edges in graph.edges, and `Q` as a polynomial.
+    Contexts compare by value and are unhashable on purpose.
     """
 
+    __hash__ = None
     graph: MultiGraph
     order: tuple[str, ...]
     tree: tuple[str, ...]
@@ -535,18 +529,23 @@ def build_cycle_context(g: MultiGraph, tree_hint: Iterable[str] | None = None,
 
 @dataclass(frozen=True)
 class TropicalCurve:
-    """A connected multigraph with positive integer edge lengths."""
+    """A connected multigraph with positive integer edge lengths, each an
+    int by `json_int`.  Curves compare by value and are unhashable on purpose."""
 
+    __hash__ = None
     graph: MultiGraph
     lengths: Mapping[str, int]
 
     def __post_init__(self):
-        lens = {str(k): int(v) for k, v in self.lengths.items()}
+        lens = {str(k): v for k, v in self.lengths.items()}
         for e in self.graph.edges:
             if e.id not in lens:
                 raise PreconditionError(f"edge {e.id!r} has no length")
-            if lens[e.id] < 1:
-                raise PreconditionError(f"edge {e.id!r} has non-positive length")
+            try:
+                if json_int(lens[e.id]) < 1:
+                    raise PreconditionError(f"edge {e.id!r} has non-positive length")
+            except TypeError as exc:
+                raise PreconditionError(f"edge {e.id!r} length: {exc}") from None
         extra = set(lens) - {e.id for e in self.graph.edges}
         if extra:
             raise PreconditionError(f"lengths given for unknown edges {sorted(extra)}")
@@ -602,11 +601,19 @@ def json_text(data, compact: bool) -> str:
 
 
 def json_int(value) -> int:
-    """An integer field of a JSON input.  Floats, booleans and strings are
-    refused, not truncated or converted; callers report the TypeError as a
-    ParseError."""
+    """The one rule for an integer given as data.  Floats, booleans and
+    strings are refused, not truncated or converted; JSON readers report the
+    TypeError as a ParseError, library constructors as a PreconditionError."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_str(value) -> str:
+    """An id of a JSON input: only a JSON string, so that 1 and 1.0 cannot
+    name two vertices; callers report the TypeError as a ParseError."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string id, got {value!r}")
     return value
 
 
@@ -618,16 +625,27 @@ def _check_edge_id(eid: str, line: int | None = None) -> None:
                          "underscores only", line)
 
 
+def _described(vertices: list[str], edges: list[Edge], lengths: dict[str, int]
+               ) -> tuple[MultiGraph, dict[str, int] | None]:
+    """The graph a parsed file describes, checked by `MultiGraph`, and its
+    lengths: on every edge or on none, else a ParseError."""
+    graph = MultiGraph(vertices, edges)
+    missing = lengths and [e.id for e in graph.edges if e.id not in lengths]
+    if missing:
+        raise ParseError(f"lengths missing for edges {missing}")
+    return graph, lengths or None
+
+
 def parse_graph_text(text: str) -> tuple[MultiGraph, dict[str, int] | None]:
     """Parse the line format: 'v <id>' and 'e <id> <tail> <head> [length]'.
 
     '#' starts a comment.  Returns the graph and, when any edge carried a
-    length, the (complete) length map.
+    length, the (complete) length map.  Only the line grammar is checked
+    here, with line numbers; `_described` checks the rest.
     """
     vertices: list[str] = []
     edges: list[Edge] = []
     lengths: dict[str, int] = {}
-    touched = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -642,28 +660,15 @@ def parse_graph_text(text: str) -> tuple[MultiGraph, dict[str, int] | None]:
                 raise ParseError("edge line needs: e <id> <tail> <head> [length]", lineno)
             eid, tail, head = parts[1], parts[2], parts[3]
             _check_edge_id(eid, lineno)
-            if any(x.id == eid for x in edges):
-                raise ParseError(f"duplicate edge id {eid!r}", lineno)
             edges.append(Edge(eid, tail, head))
             if len(parts) == 5:
                 try:
                     lengths[eid] = ascii_int(parts[4])
                 except ValueError:
                     raise ParseError(f"bad length {parts[4]!r}", lineno) from None
-                touched = True
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
-    if not edges and not vertices:
-        raise ParseError("empty graph file")
-    # semantic failures (disconnected graph) propagate as GraphError, which
-    # callers treat as precondition violations rather than parse errors
-    graph = MultiGraph(vertices, edges)
-    if touched:
-        missing = [e.id for e in graph.edges if e.id not in lengths]
-        if missing:
-            raise ParseError(f"lengths missing for edges {missing}")
-        return graph, lengths
-    return graph, None
+    return _described(vertices, edges, lengths)
 
 
 def render_graph_text(g: MultiGraph, lengths: Mapping[str, int] | None = None) -> str:
@@ -688,12 +693,14 @@ def graph_to_json_dict(g: MultiGraph, lengths: Mapping[str, int] | None = None) 
 
 
 def graph_from_json_dict(data: dict) -> tuple[MultiGraph, dict[str, int] | None]:
+    """Read the JSON graph format.  Only its shape is checked here: ids must
+    be JSON strings, lengths JSON integers; `_described` checks the rest."""
     try:
-        vertices = [str(v) for v in data.get("vertices", [])]
+        vertices = [json_str(v) for v in data.get("vertices", [])]
         edges = []
         lengths: dict[str, int] = {}
         for item in data["edges"]:
-            edge = Edge(str(item["id"]), str(item["tail"]), str(item["head"]))
+            edge = Edge(json_str(item["id"]), json_str(item["tail"]), json_str(item["head"]))
             edges.append(edge)
             if "length" in item:
                 lengths[edge.id] = json_int(item["length"])
@@ -703,23 +710,12 @@ def graph_from_json_dict(data: dict) -> tuple[MultiGraph, dict[str, int] | None]
         raise ParseError(f"bad graph JSON: {exc}") from None
     for edge in edges:
         _check_edge_id(edge.id)
-    graph = MultiGraph(vertices, edges)
-    if lengths:
-        missing = [e.id for e in graph.edges if e.id not in lengths]
-        if missing:
-            raise ParseError(f"lengths missing for edges {missing}")
-        return graph, lengths
-    return graph, None
-
-
-def parse_graph_json(text: str) -> tuple[MultiGraph, dict[str, int] | None]:
-    return graph_from_json_dict(parse_json(text, "JSON"))
+    return _described(vertices, edges, lengths)
 
 
 def load_graph_file(path: str) -> tuple[MultiGraph, dict[str, int] | None]:
     """Load either the text or the JSON graph format, by sniffing."""
     text = read_input_file(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return parse_graph_json(text)
+    if text.lstrip().startswith("{"):
+        return graph_from_json_dict(parse_json(text, "JSON"))
     return parse_graph_text(text)

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -79,6 +80,18 @@ def random_series_parallel(rng: random.Random, target_genus: int,
     rng.shuffle(names)
     return from_pairs([(names[a], names[b]) if rng.random() < 0.5 else (names[b], names[a])
                        for a, b in pairs])
+
+
+def graph_file_text(fmt: str, vertices: list[str], edges: list[tuple[str, str, str]]
+                    ) -> str:
+    """A graph file in the text ("txt") or JSON ("json") format, written
+    straight from the vertex ids and (id, tail, head) triples, so that it
+    may describe a malformed graph."""
+    if fmt == "json":
+        return json.dumps({"vertices": vertices, "edges": [
+            {"id": i, "tail": t, "head": h} for i, t, h in edges]})
+    return ("".join(f"v {v}\n" for v in vertices)
+            + "".join(f"e {i} {t} {h}\n" for i, t, h in edges))
 
 
 def random_spanning_tree(rng: random.Random, g: MultiGraph) -> list[str]:

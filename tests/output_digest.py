@@ -30,7 +30,13 @@ the same script drives either checkout.  The inputs are
   compositions at genus 4-8;
 * minor on the stable graphs with <= 6 edges, each with a seeded pendant
   tree of 1-3 vertices and a loop at its last vertex;
-* verify-theorem --max-edges 6.
+* verify-theorem --max-edges 6;
+* three malformed graphs, each in the text and in the JSON format: a
+  repeated edge id, an empty file and a disconnected graph;
+* ids that are not JSON strings: qmatrix on graph JSON with an integer
+  vertex in the vertex list, numeric edge ends (1 and 1.0), a null and a
+  false edge id, each next to two string loops; and cz-test with K4 cocycle
+  files whose graph has an integer edge end, or whose tree lists integers.
 
 Input files are written to a temporary directory that is the working
 directory during the calls, so paths in the output do not depend on it.
@@ -56,7 +62,7 @@ from czgraph.graph import (MultiGraph, build_cycle_context, genus,
                            parse_graph_text, render_graph_text)
 from czgraph.minors import enumerate_graphs
 
-from conftest import (ladder, random_abb_map, random_multigraph,
+from conftest import (graph_file_text, ladder, random_abb_map, random_multigraph,
                       random_series_parallel, random_spanning_tree, thick_cycle,
                       trivial_cocycle)
 
@@ -73,6 +79,19 @@ GRAMMAR_FILES = {
 }
 GRAMMAR_LENGTHS = ("1_0,3, +2", "1,٣,2", "1, +2,3", " 1,2,3 ")
 GRAMMAR_POLYS = ("٣*x2", "x2^٣", "²*x2", "3*x2^2", "+2*x2")
+# (vertices, (id, tail, head) edges) that both graph formats must refuse alike
+PARITY_GRAPHS = {
+    "repeated-ids": (["1"], [("1", "1", "1"), ("2", "1", "1"), ("1", "1", "1")]),
+    "empty": ([], []),
+    "disconnected": (["1", "2", "3"], [("1", "1", "2")]),
+}
+TWO_LOOPS = [{"id": "2", "tail": "1", "head": "1"}, {"id": "3", "tail": "1", "head": "1"}]
+NONSTRING_GRAPHS = {
+    "vertex-int": {"vertices": [1], "edges": [{"id": "1", "tail": "1", "head": "1"}] + TWO_LOOPS},
+    "ends-numbers": {"edges": [{"id": "1", "tail": 1, "head": 1.0}] + TWO_LOOPS},
+    "id-null": {"edges": [{"id": None, "tail": "1", "head": "1"}] + TWO_LOOPS},
+    "id-false": {"edges": [{"id": False, "tail": "1", "head": "1"}] + TWO_LOOPS},
+}
 TRANSPORT_POOL = {"g3": 3, "g4": 3}
 BIG_LENGTH = "1" + "0" * 2500
 
@@ -247,6 +266,23 @@ def pendant_calls() -> None:
             call(f"pendant-{n}/minor-{pattern}", ["minor", path, "--pattern", pattern])
 
 
+def file_calls() -> None:
+    for name, (vertices, edges) in PARITY_GRAPHS.items():
+        for fmt in ("txt", "json"):
+            path = write(f"parity-{name}.{fmt}", graph_file_text(fmt, vertices, edges))
+            call(f"parity/{name}-{fmt}", ["qmatrix", path])
+    for name, data in NONSTRING_GRAPHS.items():
+        call(f"nonstring/{name}", ["qmatrix", write(f"{name}.json", json.dumps(data))])
+    k4_path = write("k4-nonstring.txt", render_graph_text(k4_graph()))
+    end_int = BUILTIN_COCYCLES["K4"].to_json_dict()
+    end_int["graph"]["edges"][0]["tail"] = int(end_int["graph"]["edges"][0]["tail"])
+    tree_ints = {**BUILTIN_COCYCLES["K4"].to_json_dict(), "tree": [4, 5, 6]}
+    cocycles = {"cocycle-end-int": end_int, "cocycle-tree-ints": tree_ints}
+    for name, data in cocycles.items():
+        call(f"nonstring/{name}", ["cz-test", k4_path, "--cocycle",
+                                   write(f"{name}.json", json.dumps(data))])
+
+
 def run() -> None:
     pool = json.loads(POOL.read_text(encoding="utf-8"))
     here = os.getcwd()
@@ -262,6 +298,7 @@ def run() -> None:
             series_parallel_calls()
             pendant_calls()
             call("verify-theorem-6", ["verify-theorem", "--max-edges", "6"])
+            file_calls()
         finally:
             os.chdir(here)
 

@@ -83,6 +83,30 @@ def test_cocycle_validation(k4_ctx):
         assert str(info.value) == message
 
 
+def test_cocycle_indices_are_refused_not_truncated(k4_ctx):
+    """Index entries from a library caller follow the JSON readers' integer
+    rule: a float or bool is refused, not truncated to (1, 1, 2) or (1, 2, 3)."""
+    for key in ((1.9, 1, 2), (True, 2, 3)):
+        with pytest.raises(PreconditionError) as info:
+            CeresaCocycle(k4_ctx, {key: P("x1")})
+        assert str(info.value) == (f"cocycle index {key!r}: expected an integer, "
+                                   f"got {key[0]!r}")
+
+
+def test_value_classes_are_unhashable_on_purpose(k4_ctx):
+    """Contexts, curves, cocycles and classes compare by value and refuse
+    hash() by their own name, not through a field."""
+    twin_ctx = build_cycle_context(k4_graph(), tree_hint=["4", "5", "6"])
+    w = compute_w(V_TAU_K4)
+    for value, twin in ((k4_ctx, twin_ctx),
+                        (ones_curve(k4_graph()), ones_curve(k4_graph())),
+                        (V_TAU_K4, CeresaCocycle(twin_ctx, V_TAU_K4.b)),
+                        (w, CZClass(twin_ctx, w.c))):
+        with pytest.raises(TypeError, match=f"unhashable type: '{type(value).__name__}'"):
+            hash(value)
+        assert value == twin and value is not twin
+
+
 def test_graph_verdicts_not_trivial():
     vk = is_cz_trivial_graph(k4_graph(), V_TAU_K4)
     assert not vk.trivial and vk.method == "graph-diophantine"

@@ -16,6 +16,8 @@ from czgraph.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_PARSE,
                          EXIT_PRECONDITION, main, run_command, verify_theorem)
 from czgraph.graph import graph_to_json_dict, render_graph_text, subdivide_edge
 
+from conftest import graph_file_text
+
 ROOT = Path(__file__).resolve().parent.parent
 K4_TEXT = render_graph_text(k4_graph())
 L3_TEXT = render_graph_text(l3_graph())
@@ -166,6 +168,23 @@ def test_exit_code_disconnected(tmp_path, capsys):
     assert main(["qmatrix", str(bad)]) == EXIT_PRECONDITION
 
 
+@pytest.mark.parametrize("vertices, edges, message", [
+    (["1"], [("1", "1", "1"), ("2", "1", "1"), ("1", "1", "1")],
+     "duplicate edge ids: ['1']"),
+    ([], [], "graph needs at least one vertex"),
+    (["1", "2", "3"], [("1", "1", "2")], "graph is not connected"),
+], ids=["repeated-ids", "empty", "disconnected"])
+def test_text_and_json_refuse_a_malformed_graph_alike(tmp_path, capsys, vertices,
+                                                      edges, message):
+    """The graph a file describes is checked once, by MultiGraph, so both
+    formats give the same exit code and the same message."""
+    for fmt in ("txt", "json"):
+        path = tmp_path / f"g.{fmt}"
+        path.write_text(graph_file_text(fmt, vertices, edges))
+        assert main(["qmatrix", str(path)]) == EXIT_PRECONDITION
+        assert capsys.readouterr().err == f"precondition violated: {message}\n"
+
+
 def test_exit_code_wrong_length_count(k4_file, capsys):
     assert main(["cz-test", k4_file, "--cocycle", "builtin:K4",
                  "--lengths", "1,1"]) == EXIT_PRECONDITION
@@ -221,10 +240,18 @@ def test_verify_theorem_below_two_edges_checks_only_the_family(capsys, max_edges
     assert report["violations"] == [] and report["fixtures_ok"] is True
 
 
+_TWO_LOOPS = [{"id": "2", "tail": "1", "head": "1"}, {"id": "3", "tail": "1", "head": "1"}]
+
+
 @pytest.mark.parametrize("edges", [
     [{"id": "1", "tail": "1"}],                        # no head
     [{"id": "1", "tail": "1", "head": "1", "length": "abc"}],
     5,
+    # ids that are not JSON strings: no str() pass may turn 1 and 1.0 into
+    # two vertices, nor null and false into the edges "None" and "False"
+    [{"id": "1", "tail": 1, "head": 1.0}] + _TWO_LOOPS,
+    [{"id": None, "tail": "1", "head": "1"}] + _TWO_LOOPS,
+    [{"id": False, "tail": "1", "head": "1"}] + _TWO_LOOPS,
 ])
 def test_exit_code_bad_graph_json(tmp_path, capsys, edges):
     path = tmp_path / "g.json"
@@ -255,7 +282,8 @@ def test_exit_code_edge_id_outside_the_polynomial_grammar(tmp_path, capsys, name
     lambda data: {k: v for k, v in data.items() if k != "b"},
     lambda data: {**data, "b": [{**data["b"][0], "poly": "x1 +* x2"}]},
     lambda data: {**data, "tree": 7},
-], ids=["list", "no-b", "bad-poly", "tree-int"])
+    lambda data: {**data, "tree": [4, 5, 6]},
+], ids=["list", "no-b", "bad-poly", "tree-int", "tree-ints"])
 def test_exit_code_bad_cocycle_json(tmp_path, capsys, k4_file, edit):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(edit(V_TAU_K4.to_json_dict())))

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import pytest
 
@@ -7,14 +8,15 @@ from czgraph.graph import (Edge, GraphError, MultiGraph, ParseError,
                            PreconditionError, TropicalCurve, blocks, bridges,
                            build_cycle_context, contract_edge, delete_edge,
                            genus, graph_from_json_dict, graph_to_json_dict,
-                           is_bridge, parse_graph_text, render_graph_text,
+                           is_bridge, load_graph_file, parse_graph_text,
+                           render_graph_text,
                            specialize_Q, stabilize, subdivide_edge,
                            two_edge_connectivize)
 from czgraph.intlin import IntMatrix
 from czgraph.polyring import Monomial, idkey
 from czgraph.polyring import parse_polynomial as P
 
-from conftest import random_multigraph, random_spanning_tree
+from conftest import graph_file_text, random_multigraph, random_spanning_tree
 from lin_oracles import determinant
 
 
@@ -292,6 +294,57 @@ def test_parse_errors_carry_line_numbers():
         parse_graph_text("e 1 1 2 x\n")
     with pytest.raises(ParseError):
         parse_graph_text("e 1 1 2 3\ne 2 2 1\n")  # incomplete lengths
+
+
+def test_json_ids_must_be_json_strings():
+    """Vertex and edge ids are refused, not converted, when they are not
+    JSON strings, so 1 and 1.0 cannot name two vertices."""
+    loop = {"id": "1", "tail": "1", "head": "1"}
+    for data in ({"vertices": [1], "edges": [loop]},
+                 {"edges": [{**loop, "tail": 1, "head": 1.0}]},
+                 {"edges": [{**loop, "id": None}]},
+                 {"edges": [{**loop, "id": False}]}):
+        with pytest.raises(ParseError, match="bad graph JSON: expected a string id"):
+            graph_from_json_dict(data)
+
+
+def _doubled_cycle(ids: list[str]) -> tuple[list[str], list[tuple[str, str, str]]]:
+    """A cycle with every edge doubled: edges 2m and 2m + 1, named by ids,
+    join vertices m and m + 1 (mod the number of vertices)."""
+    n = len(ids) // 2
+    return ([str(v) for v in range(n)],
+            [(i, str(k // 2), str((k // 2 + 1) % n)) for k, i in enumerate(ids)])
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+def test_twenty_thousand_edge_files_are_checked_in_linear_time(tmp_path, fmt):
+    """A 20,000-edge file loads, and one in which every edge id appears
+    twice is refused by MultiGraph, each within 2 s in either format.  A
+    scan for repeated ids on each edge line, or a count of each id, takes
+    several seconds on these files."""
+    path = tmp_path / f"g.{fmt}"
+    path.write_text(graph_file_text(fmt, *_doubled_cycle([f"e{k}" for k in range(20_000)])))
+    start = time.perf_counter()
+    graph, lengths = load_graph_file(str(path))
+    assert time.perf_counter() - start < 2.0
+    assert len(graph.edges) == 20_000 and lengths is None and genus(graph) == 10_001
+    path.write_text(graph_file_text(fmt, *_doubled_cycle([f"e{k // 2}" for k in range(20_000)])))
+    start = time.perf_counter()
+    with pytest.raises(GraphError) as info:
+        load_graph_file(str(path))
+    assert time.perf_counter() - start < 2.0
+    assert not isinstance(info.value, ParseError)
+    assert str(info.value).startswith("duplicate edge ids: ['e0', 'e1', 'e10', ")
+
+
+def test_library_lengths_are_refused_not_truncated(k4):
+    """TropicalCurve takes lengths by the JSON readers' integer rule: a
+    float, bool or string is refused, not truncated or converted."""
+    ones = {e.id: 1 for e in k4.edges}
+    for edge_id, value in (("1", 1.9), ("2", True), ("6", "7")):
+        with pytest.raises(PreconditionError) as info:
+            TropicalCurve(k4, {**ones, edge_id: value})
+        assert str(info.value) == f"edge {edge_id!r} length: expected an integer, got {value!r}"
 
 
 def test_comments_and_blanks_ignored():
