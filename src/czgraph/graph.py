@@ -74,11 +74,11 @@ class Edge(NamedTuple):
 class MultiGraph:
     """Connected multigraph; loops and parallel edges allowed.
 
-    Public construction validates connectivity and edge-id uniqueness, and
-    sorts the edges by id.  Vertices mentioned only in `vertices` (isolated)
-    make the graph disconnected unless they are the whole graph.  Graphs
-    that an operation derives from a valid graph, keeping validity, are
-    built by `_derived` without the checks.
+    Public construction validates edge-id uniqueness, at least one vertex
+    and connectivity, and sorts the edges by id.  Isolated vertices, named
+    only in `vertices`, make the graph disconnected unless they are all of
+    it.  Graphs that an operation derives from a valid graph, keeping
+    validity, are built by `_derived` without the checks.
     """
 
     __slots__ = ("vertices", "edges", "_by_id", "_incidence")
