@@ -13,7 +13,7 @@ and the psi constructions) live with the tests, in `tests/*_oracles.py`.
 
 __version__ = "0.1.0"
 
-from .polyring import IntPolynomial, Monomial, parse_polynomial
+from .polyring import IntPolynomial, parse_polynomial
 from .intlin import (DiophantineResult, IntMatrix, lattice_membership,
                      solve_diophantine)
 from .graph import (CycleBasisContext, Edge, MultiGraph, TropicalCurve,
@@ -31,7 +31,7 @@ from .ceresa import (V_TAU_K4, V_TAU_L3, CeresaCocycle, CZClass,
                      pushforward_contract, pushforward_subdivide, specialize)
 
 __all__ = [
-    "IntPolynomial", "Monomial", "parse_polynomial",
+    "IntPolynomial", "parse_polynomial",
     "DiophantineResult", "IntMatrix", "lattice_membership",
     "solve_diophantine",
     "CycleBasisContext", "Edge", "MultiGraph", "TropicalCurve",

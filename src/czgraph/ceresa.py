@@ -30,9 +30,9 @@ graph-level verdict is replayed through `extalg.image2_forms`, the
 `CeresaCocycle` and `CZClass` store their coefficients only as forms keyed
 by edge position (see `polyring`), and the class, the decisions and the
 transport are integer arithmetic on them.  Polynomials exist only where
-text is read or written: the public constructors validate polynomials into
-forms, and the views `b` and `c` render the forms the first time they are
-read.
+text is read: the public constructors validate polynomials into forms.
+Reports print the forms with `polyring.form_text`, and the views `b` and
+`c`, which no report reads, render them as polynomials when first read.
 
 The minor-theoretic classifier ("minor-theorem") decides triviality of the
 graph itself: trivial exactly when there is no K4 or L3 minor.
@@ -57,7 +57,7 @@ from .graph import (CycleBasisContext, InvariantError, MultiGraph,
                     graph_from_json_dict, graph_to_json_dict, json_int,
                     json_str, json_text, subdivide_edge)
 from .minors import MinorWitness, _first_pattern, _witness
-from .polyring import IntPolynomial, from_form, parse_polynomial, to_form
+from .polyring import IntPolynomial, form_text, from_form, parse_polynomial, to_form
 
 
 def _validated(ctx: CycleBasisContext, coeffs: Mapping, keys, degree: int, what: str
@@ -110,6 +110,11 @@ class _Coefficients:
         names = self.context.graph.edge_ids()
         return {key: from_form(form, names) for key, form in self.forms.items()}
 
+    def _texts(self) -> list[tuple[tuple[int, int, int], str]]:
+        """The coefficients as text (`form_text`), sorted by key."""
+        names = self.context.graph.edge_ids()
+        return [(key, form_text(form, names)) for key, form in sorted(self.forms.items())]
+
     def is_zero(self) -> bool:
         return not self.forms
 
@@ -119,7 +124,8 @@ class CeresaCocycle(_Coefficients):
     """Representative v with coefficients b[(i, j, k)] on a_i^b_j^b_k, j < k.
 
     Every coefficient is a homogeneous linear form in the edge variables of
-    the context's graph; the view `b` renders the stored `forms` when first read.
+    the context's graph.  `to_json_dict` prints the stored `forms` with
+    `form_text`; the view `b` renders them as polynomials when first read.
     Cocycles compare by value and are unhashable on purpose.
     """
 
@@ -144,8 +150,7 @@ class CeresaCocycle(_Coefficients):
         return {
             "graph": graph_to_json_dict(self.graph),
             "tree": list(self.context.tree),
-            "b": [{"i": i, "j": j, "k": k, "poly": str(p)}
-                  for (i, j, k), p in sorted(self.b.items())],
+            "b": [{"i": i, "j": j, "k": k, "poly": p} for (i, j, k), p in self._texts()],
         }
 
     @classmethod
@@ -170,9 +175,10 @@ class CeresaCocycle(_Coefficients):
 @dataclass(frozen=True, init=False)
 class CZClass(_Coefficients):
     """Class w with coefficients c[(r, s, t)] on b_r^b_s^b_t, r < s < t,
-    homogeneous quadratic in the edge variables.  The decisions read only
-    the stored `forms`; the view `c` renders them when first read.  Classes
-    compare by value and are unhashable on purpose."""
+    homogeneous quadratic in the edge variables.  The decisions and
+    `to_json_dict` read only the stored `forms`; the view `c` renders them
+    as polynomials when first read.  Classes compare by value and are
+    unhashable on purpose."""
 
     __hash__ = None
 
@@ -182,8 +188,7 @@ class CZClass(_Coefficients):
     c = cached_property(_Coefficients._rendered)
 
     def to_json_dict(self) -> dict:
-        return {"c": [{"r": r, "s": s, "t": t, "poly": str(p)}
-                      for (r, s, t), p in sorted(self.c.items())]}
+        return {"c": [{"r": r, "s": s, "t": t, "poly": p} for (r, s, t), p in self._texts()]}
 
 
 @dataclass(frozen=True)
@@ -301,7 +306,7 @@ def _graph_system(ctx: CycleBasisContext, w: CZClass
     """
     minors = _q_minors(ctx)
     target = {t: w.forms[tr] for t, tr in enumerate(triple_indices(ctx.g)) if tr in w.forms}
-    # Monomial's order: by the first edge, then x_a x_b before x_a^2
+    # form_text's order: by the first edge, then x_a x_b before x_a^2
     monos = sorted(set().union(*minors, *target.values()),
                    key=lambda ab: (ab[0], ab[0] == ab[1], ab[1]))
     row_of = {m: n for n, m in enumerate(monos)}
@@ -455,7 +460,6 @@ def pushforward_contract(v: CeresaCocycle, edge_id: str) -> CeresaCocycle:
     indices carry over unchanged.  Commutes with taking classes: killing
     the variable before or after (delta - I) gives the same result.
     """
-    edge_id = str(edge_id)
     ctx = v.context
     # refuses an unknown edge and a loop, which no spanning tree contains
     contracted = contract_edge(ctx.graph, edge_id)
@@ -484,10 +488,9 @@ def pushforward_subdivide(v: CeresaCocycle, edge_id: str) -> CeresaCocycle:
     moves to its edge's position in the subdivided graph, where the halves
     need not be adjacent (2a < 2a0 < 2b), and f's coefficient goes to both.
     """
-    edge_id = str(edge_id)
     ctx = v.context
-    id1, id2 = edge_id + "a", edge_id + "b"
     divided = subdivide_edge(ctx.graph, edge_id)
+    id1, id2 = edge_id + "a", edge_id + "b"
     if edge_id in ctx.tree:
         new_tree = [t for t in ctx.tree if t != edge_id] + [id1, id2]
         new_basis = list(ctx.basis_edges())

@@ -22,13 +22,14 @@ from .ceresa import (BUILTIN_COCYCLES, CeresaCocycle, InvariantError,
                      is_cz_trivial_graph, k4_context, l3_context,
                      pushforward_subdivide, specialize)
 from .extalg import triple_indices
-from .graph import (GraphError, MultiGraph, ParseError, PreconditionError,
-                    TropicalCurve, blocks, build_cycle_context, genus,
-                    json_text, load_graph_file, parse_json, read_input_file)
+from .graph import (CycleBasisContext, GraphError, MultiGraph, ParseError,
+                    PreconditionError, TropicalCurve, blocks,
+                    build_cycle_context, genus, json_text, load_graph_file,
+                    parse_json, read_input_file)
 from .intlin import DimensionError
 from .minors import (canonical_form, enumerate_graphs, has_minor,
                      is_hyperelliptic_type, single_step_minors)
-from .polyring import ascii_int
+from .polyring import ascii_int, form_text
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -71,6 +72,12 @@ def _lengths(csv: str | None, graph: MultiGraph, file_lengths: dict[str, int] | 
     return dict(zip(ids, values))
 
 
+def _q_texts(ctx: CycleBasisContext) -> list[list[str]]:
+    """Q's entries as text (`form_text`)."""
+    names = ctx.graph.edge_ids()
+    return [[form_text(f, names) for f in row] for row in ctx.q_forms]
+
+
 def _parse_tree(csv: str | None) -> list[str] | None:
     if csv is None:
         return None
@@ -106,7 +113,7 @@ def _cmd_qmatrix(args) -> CommandReport:
         "genus": ctx.g,
         "order": list(ctx.order),
         "tree": list(ctx.tree),
-        "Q": [[str(entry) for entry in row] for row in ctx.Q],
+        "Q": _q_texts(ctx),
     }
     return CommandReport("qmatrix", {"graphfile": args.graphfile,
                                      "tree": args.tree}, result)
@@ -263,26 +270,19 @@ def _fixture_identities() -> bool:
     """Pinned identities: both Q displays, both classes, the three curve
     verdicts used throughout."""
     from .ceresa import V_TAU_K4, V_TAU_L3, k4_graph, l3_graph
-    from .polyring import parse_polynomial as P
 
-    ctx4 = k4_context()
-    q4 = [[str(e) for e in row] for row in ctx4.Q]
-    if q4 != [["x1 + x5 + x6", "-x6", "-x5"],
-              ["-x6", "x2 + x4 + x6", "-x4"],
-              ["-x5", "-x4", "x3 + x4 + x5"]]:
+    if _q_texts(k4_context()) != [["x1 + x5 + x6", "-x6", "-x5"],
+                                  ["-x6", "x2 + x4 + x6", "-x4"],
+                                  ["-x5", "-x4", "x3 + x4 + x5"]]:
         return False
-    ctx3 = l3_context()
-    q3 = [[str(e) for e in row] for row in ctx3.Q]
-    if q3 != [["x1 + x6", "0", "x6", "x6"],
-              ["0", "x2 + x5", "x5", "x5"],
-              ["x6", "x5", "x3 + x5 + x6", "x5 + x6"],
-              ["x6", "x5", "x5 + x6", "x4 + x5 + x6"]]:
+    if _q_texts(l3_context()) != [["x1 + x6", "0", "x6", "x6"],
+                                  ["0", "x2 + x5", "x5", "x5"],
+                                  ["x6", "x5", "x3 + x5 + x6", "x5 + x6"],
+                                  ["x6", "x5", "x5 + x6", "x4 + x5 + x6"]]:
         return False
-    wk = compute_w(V_TAU_K4)
-    if wk.c != {(1, 2, 3): P("-2*x2*x5")}:
+    if compute_w(V_TAU_K4)._texts() != [((1, 2, 3), "-2*x2*x5")]:
         return False
-    wl = compute_w(V_TAU_L3)
-    if wl.c != {(1, 2, 3): P("-2*x5*x6"), (1, 2, 4): P("-2*x5*x6")}:
+    if compute_w(V_TAU_L3)._texts() != [((1, 2, 3), "-2*x5*x6"), ((1, 2, 4), "-2*x5*x6")]:
         return False
     ones4 = TropicalCurve(k4_graph(), {str(i): 1 for i in range(1, 7)})
     two4 = TropicalCurve(k4_graph(), {"1": 2, "2": 1, "3": 1, "4": 1, "5": 1, "6": 1})

@@ -74,21 +74,23 @@ class Edge(NamedTuple):
 class MultiGraph:
     """Connected multigraph; loops and parallel edges allowed.
 
-    Public construction validates edge-id uniqueness, at least one vertex
-    and connectivity, and sorts the edges by id.  Isolated vertices, named
-    only in `vertices`, make the graph disconnected unless they are all of
-    it.  Graphs that an operation derives from a valid graph, keeping
+    Public construction validates that every vertex id, edge id and edge
+    end is a str (the rule of `json_str`), edge-id uniqueness, at least one
+    vertex and connectivity, and sorts the edges by id.  Isolated vertices,
+    named only in `vertices`, make the graph disconnected unless they are
+    all of it.  Graphs that an operation derives from a valid graph, keeping
     validity, are built by `_derived` without the checks.
     """
 
     __slots__ = ("vertices", "edges", "_by_id", "_incidence")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple]):
-        vs = {str(v) for v in vertices}
-        es = []
-        for e in edges:
-            e = Edge(str(e[0]), str(e[1]), str(e[2]))
-            es.append(e)
+        try:
+            vs = {json_str(v) for v in vertices}
+            es = [Edge(json_str(e[0]), json_str(e[1]), json_str(e[2])) for e in edges]
+        except TypeError as exc:
+            raise GraphError(str(exc)) from None
+        for e in es:
             vs.add(e.tail)
             vs.add(e.head)
         es.sort(key=lambda e: idkey(e.id))
@@ -120,8 +122,8 @@ class MultiGraph:
 
     def edge(self, edge_id: str) -> Edge:
         try:
-            return self._by_id[str(edge_id)]
-        except KeyError:
+            return self._by_id[edge_id]
+        except (KeyError, TypeError):
             raise GraphError(f"no edge with id {edge_id!r}") from None
 
     def edge_ids(self) -> list[str]:
@@ -440,16 +442,15 @@ class CycleBasisContext:
         """Signs (s_1(e), ..., s_g(e)): the homology class dual to the edge,
         written in the beta basis.  Non-tree edge e_j gives the unit vector j;
         a bridge gives the zero vector."""
-        edge_id = str(edge_id)
         self.graph.edge(edge_id)
         return tuple(c.get(edge_id, 0) for c in self.cycles)
 
 
 def _validate_tree(g: MultiGraph, ids: list[str], root: str) -> dict[str, Edge]:
     """The hinted spanning tree, rooted at root as `_bfs_tree` returns it."""
+    edges = [g.edge(t) for t in ids]
     if len(set(ids)) != len(ids):
         raise PreconditionError("tree hint repeats edges")
-    edges = [g.edge(t) for t in ids]
     if len(ids) != len(g.vertices) - 1:
         raise PreconditionError(
             f"tree hint has {len(ids)} edges, need {len(g.vertices) - 1}")
@@ -504,12 +505,12 @@ def build_cycle_context(g: MultiGraph, tree_hint: Iterable[str] | None = None,
         tree = _bfs_tree(g._incidence, root)
         tree_ids = [e.id for e in tree.values()]
     else:
-        tree_ids = [str(t) for t in tree_hint]
+        tree_ids = list(tree_hint)
         tree = _validate_tree(g, tree_ids, root)
     in_tree = set(tree_ids)
     nontree = [e.id for e in g.edges if e.id not in in_tree]
     if basis_order is not None:
-        basis = [str(b) for b in basis_order]
+        basis = [g.edge(b).id for b in basis_order]
         if sorted(basis, key=idkey) != sorted(nontree, key=idkey):
             raise PreconditionError("basis_order must list exactly the non-tree edges")
     else:
@@ -537,7 +538,7 @@ class TropicalCurve:
     lengths: Mapping[str, int]
 
     def __post_init__(self):
-        lens = {str(k): v for k, v in self.lengths.items()}
+        lens = dict(self.lengths)
         for e in self.graph.edges:
             if e.id not in lens:
                 raise PreconditionError(f"edge {e.id!r} has no length")
@@ -548,7 +549,7 @@ class TropicalCurve:
                 raise PreconditionError(f"edge {e.id!r} length: {exc}") from None
         extra = set(lens) - {e.id for e in self.graph.edges}
         if extra:
-            raise PreconditionError(f"lengths given for unknown edges {sorted(extra)}")
+            raise PreconditionError(f"lengths given for unknown edges {sorted(extra, key=str)}")
         object.__setattr__(self, "lengths", lens)
 
     def genus(self) -> int:

@@ -26,8 +26,18 @@ class DimensionError(ValueError):
     pass
 
 
+def _ints(values: Iterable[int]) -> tuple[int, ...]:
+    """The values as a tuple, each exactly an int: a bool, a float or an int
+    subclass raises TypeError rather than being truncated."""
+    t = tuple(values)
+    if not set(map(type, t)) <= {int}:
+        bad = next(x for x in t if type(x) is not int)
+        raise TypeError(f"expected an integer, got {bad!r}")
+    return t
+
+
 class IntMatrix:
-    """Dense integer matrix, row-major, immutable."""
+    """Dense integer matrix, row-major, immutable; every entry is exactly an int."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -37,7 +47,7 @@ class IntMatrix:
                 f"entry count {len(entries)} does not match shape {rows}x{cols}")
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(map(int, entries))
+        self.entries = _ints(entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -70,7 +80,7 @@ class IntMatrix:
     def apply(self, vec: Sequence[int]) -> list[int]:
         if len(vec) != self.cols:
             raise DimensionError(f"vector of length {len(vec)} against {self.cols} columns")
-        v = [int(x) for x in vec]
+        v = _ints(vec)
         e, c = self.entries, self.cols
         return [sum(map(operator.mul, e[i * c:(i + 1) * c], v)) for i in range(self.rows)]
 
@@ -176,12 +186,12 @@ def solve_diophantine(A: IntMatrix, b: Sequence[int]) -> DiophantineResult:
     """
     if len(b) != A.rows:
         raise DimensionError(f"rhs length {len(b)} does not match {A.rows} rows")
+    residual = list(_ints(b))
     m, n, e = A.rows, A.cols, A.entries
     rows = [list(e[j::n]) + [int(i == j) for i in range(n)] for j in range(n)]
     rank = _echelon(rows, m)
     echelon = [row[:m] for row in rows[:rank]]
 
-    residual = [int(x) for x in b]
     x = [0] * n
     for row in rows[:rank]:
         p = next(j for j, v in enumerate(row) if v)
@@ -204,7 +214,7 @@ def lattice_membership(generators: Sequence[Sequence[int]],
     like `generators` and satisfies sum(c_i * g_i) = target exactly.
     """
     gens = [list(g) for g in generators]
-    tgt = [int(t) for t in target]
+    tgt = _ints(target)
     if any(len(g) != len(tgt) for g in gens):
         raise DimensionError("generator/target length mismatch")
     A = IntMatrix(len(tgt), len(gens), [g[i] for i in range(len(tgt)) for g in gens])

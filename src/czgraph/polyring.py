@@ -9,11 +9,14 @@ arbitrary precision; all operations are exact and return canonical
 polynomials (no zero coefficients stored).  The arithmetic serves only the
 element-level maps of `extalg` and the benchmark's pool builder.
 
-Cocycles, classes and Q store only forms, and the rest computes on them: a
-form maps the sorted positions of a monomial's variables, with repetition,
-to its coefficient (its key's length is its degree), so over the edges 1, 2,
-3, x1*x3 - 2*x3^2 is {(0, 2): 1, (2, 2): -2}.  `to_form` reads parsed text,
-and `from_form` renders the views `CeresaCocycle.b`, `CZClass.c` and `Q`.
+A monomial is the tuple of its variable names with repetition, sorted by
+`idkey`, so x1^2*x3 is ("1", "1", "3") and () is the unit; it keys a term of
+an `IntPolynomial`.  Cocycles, classes and Q store only forms, and the rest
+computes on them: a form is the same map with each name replaced by its
+position, so over the edges 1, 2, 3, x1*x3 - 2*x3^2 is {(0, 2): 1,
+(2, 2): -2}.  `to_form` reads parsed text, `from_form` renders the views
+`CeresaCocycle.b`, `CZClass.c` and `Q`, and `form_text` is the one renderer:
+it prints polynomials and the forms of reports directly.
 
 Polynomials are immutable values: every operation returns a new object and
 instances may be shared freely between threads.
@@ -22,9 +25,9 @@ instances may be shared freely between threads.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from functools import cache, total_ordering
+from functools import cache
+from itertools import groupby
 
 
 class PolynomialError(ValueError):
@@ -56,84 +59,25 @@ def idkey(name: str) -> tuple:
     return tuple(parts)
 
 
-@total_ordering
-class Monomial:
-    """Product of variables with positive integer exponents.
-
-    The empty monomial is the ring unit.  Factors are kept sorted by
-    :func:`idkey`, which fixes the term order used for rendering.
-    """
-
-    __slots__ = ("_factors", "_hash")
-
-    def __init__(self, exponents: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
-        items = exponents.items() if isinstance(exponents, Mapping) else exponents
-        factors = []
-        for var, exp in items:
-            if exp < 0:
-                raise PolynomialError(f"negative exponent for x{var}")
-            if exp:
-                factors.append((str(var), int(exp)))
-        factors.sort(key=lambda f: idkey(f[0]))
-        seen = {v for v, _ in factors}
-        if len(seen) != len(factors):
-            raise PolynomialError("repeated variable in monomial")
-        self._factors = tuple(factors)
-        self._hash = hash(self._factors)
-
-    @property
-    def factors(self) -> tuple[tuple[str, int], ...]:
-        return self._factors
-
-    def variables(self) -> set[str]:
-        return {v for v, _ in self._factors}
-
-    def is_unit(self) -> bool:
-        return not self._factors
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        exps = dict(self._factors)
-        for v, e in other._factors:
-            exps[v] = exps.get(v, 0) + e
-        return Monomial(exps)
-
-    def sort_key(self) -> tuple:
-        return tuple((idkey(v), e) for v, e in self._factors)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self._factors == other._factors
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __str__(self) -> str:
-        if not self._factors:
-            return "1"
-        return "*".join(f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in self._factors)
-
-    def __repr__(self) -> str:
-        return f"Monomial({self})"
-
-
-_UNIT = Monomial()
-
-
 class IntPolynomial:
     """Sparse polynomial with integer coefficients, canonical form.
 
-    Two polynomials are equal iff their term maps are equal; hashing is
-    consistent with that, so polynomials can key dicts and sets.
+    A term is keyed by its monomial, the tuple of its variable names with
+    repetition, sorted by `idkey`: x1^2*x3 is ("1", "1", "3") and () is the
+    unit.  Keys are sorted on construction, so any order of the names may
+    be given.  Two polynomials are equal iff their term maps are equal;
+    hashing is consistent with that, so polynomials can key dicts and sets.
     """
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
+    def __init__(self, terms: Mapping | Iterable[tuple[Iterable[str], int]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Monomial, int] = {}
+        clean: dict[tuple[str, ...], int] = {}
         for mono, coeff in items:
+            if isinstance(mono, str):
+                raise TypeError(f"a monomial is a tuple of variable names, got {mono!r}")
+            mono = tuple(sorted(mono, key=idkey))
             coeff = int(coeff)
             if coeff:
                 clean[mono] = clean.get(mono, 0) + coeff
@@ -154,11 +98,13 @@ class IntPolynomial:
 
     @classmethod
     def constant(cls, c: int) -> "IntPolynomial":
-        return cls({_UNIT: c})
+        return cls({(): c})
 
     @classmethod
     def variable(cls, name: str, coeff: int = 1, exp: int = 1) -> "IntPolynomial":
-        return cls({Monomial({str(name): exp}): coeff})
+        if exp < 0:
+            raise PolynomialError(f"negative exponent for x{name}")
+        return cls({(name,) * exp: coeff})
 
     @classmethod
     def coerce(cls, value) -> "IntPolynomial":
@@ -171,30 +117,20 @@ class IntPolynomial:
     # -- queries -------------------------------------------------------
 
     @property
-    def terms(self) -> dict[Monomial, int]:
+    def terms(self) -> dict[tuple[str, ...], int]:
         return dict(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def variables(self) -> set[str]:
-        out: set[str] = set()
-        for m in self._terms:
-            out |= m.variables()
-        return out
+        return set().union(*self._terms)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other) -> "IntPolynomial":
         other = IntPolynomial.coerce(other)
-        terms = dict(self._terms)
-        for m, c in other._terms.items():
-            new = terms.get(m, 0) + c
-            if new:
-                terms[m] = new
-            else:
-                terms.pop(m, None)
-        return IntPolynomial(terms)
+        return IntPolynomial([*self._terms.items(), *other._terms.items()])
 
     __radd__ = __add__
 
@@ -209,16 +145,8 @@ class IntPolynomial:
 
     def __mul__(self, other) -> "IntPolynomial":
         other = IntPolynomial.coerce(other)
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1.mul(m2)
-                new = out.get(m, 0) + c1 * c2
-                if new:
-                    out[m] = new
-                else:
-                    del out[m]
-        return IntPolynomial(out)
+        return IntPolynomial((m1 + m2, c1 * c2) for m1, c1 in self._terms.items()
+                             for m2, c2 in other._terms.items())
 
     __rmul__ = __mul__
 
@@ -237,25 +165,8 @@ class IntPolynomial:
     # -- text form -------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for mono in sorted(self._terms):
-            coeff = self._terms[mono]
-            sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
-            if mono.is_unit():
-                body = str(mag)
-            elif mag == 1:
-                body = str(mono)
-            else:
-                body = f"{mag}*{mono}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        names = sorted(self.variables(), key=idkey)
+        return form_text(to_form(self, {v: n for n, v in enumerate(names)}), names)
 
     def __repr__(self) -> str:
         return f"IntPolynomial({self})"
@@ -263,14 +174,38 @@ class IntPolynomial:
 
 def to_form(poly: IntPolynomial, pos: Mapping[str, int]) -> dict[tuple[int, ...], int]:
     """The polynomial as a form; pos gives each variable's position."""
-    return {tuple(sorted(pos[v] for v, e in mono.factors for _ in range(e))): c
-            for mono, c in poly._terms.items()}
+    return {tuple(sorted(pos[v] for v in mono)): c for mono, c in poly._terms.items()}
 
 
 def from_form(form: Mapping[tuple[int, ...], int], names: Sequence[str]) -> IntPolynomial:
     """The form as a polynomial in the variables names[position]."""
-    return IntPolynomial({Monomial(Counter(names[p] for p in key)): c
-                          for key, c in form.items()})
+    return IntPolynomial({tuple(names[p] for p in key): c for key, c in form.items()})
+
+
+def form_text(form: Mapping[tuple[int, ...], int], names: Sequence[str]) -> str:
+    """The form as text in the variables names[position], in the grammar
+    `parse_polynomial` reads; the one renderer of polynomials and forms.
+
+    The positions must follow the `idkey` order of the names.  Terms are
+    ordered by their (position, exponent) runs: the unit first, then by the
+    first variable, x_a*x_b before x_a^2.
+    """
+    if not form:
+        return "0"
+    parts = []
+    for runs, coeff in sorted((tuple((p, len(list(run))) for p, run in groupby(key)), c)
+                              for key, c in form.items()):
+        mono = "*".join(f"x{names[p]}" if e == 1 else f"x{names[p]}^{e}" for p, e in runs)
+        mag = abs(coeff)
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        parts.append(("- " if coeff < 0 else "+ ") + body)
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
@@ -316,7 +251,7 @@ def parse_polynomial(text: str) -> IntPolynomial:
         if not chunk:
             raise PolynomialError(f"dangling sign in {text!r}")
         coeff = -1 if negative else 1
-        exps: dict[str, int] = {}
+        names: list[str] = []
         for factor in chunk.split("*"):
             factor = factor.strip()
             if not factor:
@@ -328,7 +263,6 @@ def parse_polynomial(text: str) -> IntPolynomial:
                 except ValueError:
                     raise PolynomialError(f"bad factor {factor!r} in {text!r}") from None
                 continue
-            var, exp = m.group(1), int(m.group(2) or 1)
-            exps[var] = exps.get(var, 0) + exp
-        terms.append((Monomial(exps), coeff))
+            names += [m.group(1)] * int(m.group(2) or 1)
+        terms.append((names, coeff))
     return IntPolynomial(terms)

@@ -12,24 +12,25 @@ verdict a different way.  Its columns are closed forms over Q, and
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations
 
 from czgraph.ceresa import CZClass, _q_minors, _twist_pattern
 from czgraph.extalg import aab_keys, triple_indices
 from czgraph.graph import CycleBasisContext
 from czgraph.intlin import IntMatrix, solve_diophantine
-from czgraph.polyring import Monomial, to_form
+from czgraph.polyring import form_text, to_form
+
+from poly_oracles import render_order
 
 
 def psi_system(ctx: CycleBasisContext, w: CZClass
                ) -> tuple[list[tuple], list[tuple], list[list[int]], list[int]]:
-    """The psi system: its equations as sorted (wedge triple, Monomial)
+    """The psi system: its equations as sorted (wedge triple, monomial)
     keys, its unknowns, the A rows and the right-hand sides.
 
     The unknowns are ("a", (i, j, k)) in aab_keys order, ("d", (i, j, k))
     for i < j < k, and ("h", (l, m)) for each l and each quadratic monomial
-    m in Monomial order.  Each column is a closed form over Q.  With
+    m in the order `form_text` prints terms.  Each column is a closed form over Q.  With
     Qa_i = sum_r q_ri b_r and M the 2x2 minors of `_q_minors`:
 
     * a: the squared twist of a_i^a_j^b_k, the entries of
@@ -84,8 +85,9 @@ def psi_system(ctx: CycleBasisContext, w: CZClass
               for m, c in to_form(w.c[tr], pos).items()}
     for key in target:
         columns.setdefault(key, {})
-    mono = {m: Monomial(Counter(ids[x] for x in m)) for _, m in columns}
-    quadratic = sorted({m for _, m in columns if len(m) == 2}, key=mono.__getitem__)
+    mono = {m: tuple(ids[x] for x in m) for _, m in columns}
+    quadratic = sorted({m for _, m in columns if len(m) == 2},
+                       key=lambda m: render_order(mono[m]))
     for l in range(1, g + 1):
         for m in quadratic:
             units.append(("h", (l, mono[m])))
@@ -93,7 +95,7 @@ def psi_system(ctx: CycleBasisContext, w: CZClass
                 if j != l:
                     triple = (("a", j), ("b", min(j, l)), ("b", max(j, l)))
                     columns.setdefault((triple, m), {})[len(units) - 1] = 1 if l < j else -1
-    keys = sorted(columns, key=lambda km: (tuple(map(str, km[0])), str(mono[km[1]])))
+    keys = sorted(columns, key=lambda km: (tuple(map(str, km[0])), form_text({km[1]: 1}, ids)))
     rows = [[0] * len(units) for _ in keys]
     for row, key in zip(rows, keys):
         for col, c in columns[key].items():

@@ -10,13 +10,21 @@ results.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Mapping
 
-from czgraph.polyring import IntPolynomial, Monomial, PolynomialError
+from czgraph.polyring import IntPolynomial, PolynomialError, idkey
 
 
 class MissingVariableError(PolynomialError):
     """Raised when evaluating a polynomial with an incomplete assignment."""
+
+
+def render_order(mono: tuple[str, ...]) -> tuple:
+    """Sort key of a monomial, a tuple of names sorted by `idkey`, in the
+    order `form_text` prints terms: its (idkey(name), exponent) runs.  A
+    plain tuple sort would put x1^2 before x1*x2."""
+    return tuple((idkey(v), len(list(run))) for v, run in groupby(mono))
 
 
 def power(poly: IntPolynomial, n: int) -> IntPolynomial:
@@ -36,10 +44,10 @@ def evaluate(poly: IntPolynomial, assignment: Mapping[str, int]) -> int:
     total = 0
     for mono, coeff in poly.terms.items():
         value = coeff
-        for var, exp in mono.factors:
+        for var in mono:
             if var not in assignment:
                 raise MissingVariableError(f"no value for variable x{var}")
-            value *= int(assignment[var]) ** exp
+            value *= int(assignment[var])
         total += value
     return total
 
@@ -54,10 +62,9 @@ def substitute(poly: IntPolynomial, var: str, replacement) -> IntPolynomial:
     replacement = IntPolynomial.coerce(replacement)
     out = IntPolynomial.zero()
     for mono, coeff in poly.terms.items():
-        exps = dict(mono.factors)
-        exp = exps.pop(var, 0)
-        part = IntPolynomial({Monomial(exps): coeff})
-        if exp:
-            part = part * power(replacement, exp)
+        rest = tuple(v for v in mono if v != var)
+        part = IntPolynomial({rest: coeff})
+        if len(rest) < len(mono):
+            part = part * power(replacement, len(mono) - len(rest))
         out = out + part
     return out

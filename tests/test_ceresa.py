@@ -19,7 +19,8 @@ from czgraph.graph import (MultiGraph, PreconditionError, TropicalCurve,
                            blocks, build_cycle_context, genus, load_graph_file,
                            parse_graph_text, specialize_Q)
 from czgraph.intlin import IntMatrix, solve_diophantine
-from czgraph.polyring import IntPolynomial, Monomial
+from czgraph.cli import run_command
+from czgraph.polyring import IntPolynomial
 from czgraph.polyring import parse_polynomial as P
 
 from conftest import (random_aab_map, random_abb_map, random_multigraph,
@@ -27,7 +28,7 @@ from conftest import (random_aab_map, random_abb_map, random_multigraph,
 from ceresa_oracles import psi_system, solve_psi
 from extalg_oracles import psi_G, wedge_with_omega
 from lin_oracles import solve_by_hermite
-from poly_oracles import evaluate, substitute
+from poly_oracles import evaluate, render_order, substitute
 
 NEG2X2X5 = P("-2*x2*x5")
 NEG2X5X6 = P("-2*x5*x6")
@@ -223,7 +224,7 @@ def _oracle_system(ctx, w):
     zero = IntPolynomial.zero()
     gens = [image2_coeffs(ctx, {key: 1}) for key in aab_keys(ctx.g)]
     monos = sorted({m for gen in gens for p in gen.values() for m in p.terms}
-                   | {m for p in w.c.values() for m in p.terms})
+                   | {m for p in w.c.values() for m in p.terms}, key=render_order)
     rows, rhs = [], []
     for tr in triple_indices(ctx.g):
         cols, target = [gen.get(tr, zero).terms for gen in gens], w.c.get(tr, zero).terms
@@ -343,7 +344,7 @@ def test_solve_matches_hermite_oracle_on_cz_systems():
 
 
 def _terms(coeffs) -> dict:
-    """(wedge triple, Monomial) -> coefficient, from triple -> polynomial."""
+    """(wedge triple, monomial) -> coefficient, from triple -> polynomial."""
     return {(triple, m): c for triple, poly in coeffs.items()
             for m, c in poly.terms.items()}
 
@@ -456,6 +457,15 @@ def test_pushforward_contract_requires_tree_edge():
         pushforward_contract(v, "1")  # loop
 
 
+def test_pushforwards_refuse_non_string_edge_ids():
+    """An edge id that is not a str names no edge, as for `MultiGraph.edge`;
+    it is not converted, and an unhashable one raises no TypeError."""
+    for bad in (4, 2, ["4"]):
+        for push in (pushforward_contract, pushforward_subdivide):
+            with pytest.raises(graph.GraphError, match="no edge with id"):
+                push(V_TAU_K4, bad)
+
+
 def test_contract_separating_edge_leaves_class():
     # a cocycle supported away from a bridge is untouched by contracting it
     g = MultiGraph(["1", "2", "3", "4", "5"], [
@@ -529,9 +539,9 @@ def test_subdivision_keeps_verdicts_on_random_cocycles():
 def test_decisions_do_no_polynomial_arithmetic(monkeypatch):
     """Once the cocycle is parsed, the class, both verdicts, the
     specialization of Q and the transport along contraction and subdivision
-    compute on integer forms: on pool-g5-1 with either cocycle, no
-    IntPolynomial is added, negated or multiplied, and no IntPolynomial or
-    Monomial is built."""
+    compute on integer forms, and the reports of the cocycle, the class and
+    `qmatrix` print the forms: on pool-g5-1 with either cocycle, no
+    IntPolynomial is added, negated, multiplied or built."""
     inputs = Path(__file__).resolve().parent / "golden" / "inputs"
     _, lengths = load_graph_file(str(inputs / "pool-g5-1-curve.txt"))
     cocycles = [CeresaCocycle.from_json_dict(json.loads(
@@ -543,13 +553,14 @@ def test_decisions_do_no_polynomial_arithmetic(monkeypatch):
         monkeypatch.setattr(IntPolynomial, name,
                             lambda *args, _name=name, _real=getattr(IntPolynomial, name):
                             calls.append(_name) or _real(*args))
-    for cls in (IntPolynomial, Monomial):
-        monkeypatch.setattr(cls, "__init__",
-                            lambda *args, _cls=cls, _real=cls.__init__:
-                            calls.append(_cls.__name__) or _real(*args))
+    monkeypatch.setattr(IntPolynomial, "__init__",
+                        lambda *args, _real=IntPolynomial.__init__:
+                        calls.append("__init__") or _real(*args))
     verdicts, moved = [], 0
+    run_command(["qmatrix", str(inputs / "pool-g5-1.txt")])
     for v in cocycles:
-        compute_w(v)
+        v.to_json_dict()
+        compute_w(v).to_json_dict()
         curve = TropicalCurve(v.graph, lengths)
         verdicts.append(is_cz_trivial_graph(v.graph, v).trivial)
         verdicts.append(is_cz_trivial_curve(curve, v).trivial)

@@ -12,7 +12,7 @@ from czgraph.graph import (Edge, GraphError, MultiGraph, ParseError,
                            render_graph_text, specialize_Q, stabilize,
                            subdivide_edge, two_edge_connectivize)
 from czgraph.intlin import IntMatrix
-from czgraph.polyring import Monomial, idkey
+from czgraph.polyring import idkey
 from czgraph.polyring import parse_polynomial as P
 
 from conftest import graph_file_text, random_multigraph, random_spanning_tree
@@ -60,7 +60,7 @@ def test_single_loop_context():
 def test_q_diagonal_contains_own_edge(k4_ctx, l3_ctx):
     for ctx in (k4_ctx, l3_ctx):
         for j, eid in enumerate(ctx.basis_edges()):
-            assert ctx.Q[j][j].terms.get(Monomial({eid: 1}), 0) == 1
+            assert ctx.Q[j][j].terms.get((eid,), 0) == 1
 
 
 def test_specialize_examples(k4, k4_ctx):
@@ -340,6 +340,34 @@ def test_library_lengths_are_refused_not_truncated(k4):
         with pytest.raises(PreconditionError) as info:
             TropicalCurve(k4, {**ones, edge_id: value})
         assert str(info.value) == f"edge {edge_id!r} length: expected an integer, got {value!r}"
+
+
+def test_library_ids_are_refused_not_converted(k4):
+    """MultiGraph takes ids by the JSON readers' rule (`json_str`): a vertex
+    id, edge id or edge end that is not a str is refused, not converted, so
+    the edge from "1" to 1.0 is not built as a non-loop.  A lookup by a
+    non-str id fails as one by an unknown id does, an unhashable one too."""
+    for vertices, edges in ((["1"], [("1", 1, 1.0), ("2", "1", "1")]),
+                            ([1], [("1", "1", "1")]),
+                            ([["1"]], [("1", "1", "1")]),
+                            (["1"], [(1, "1", "1")])):
+        with pytest.raises(GraphError, match="expected a string id, got "):
+            MultiGraph(vertices, edges)
+    ctx = build_cycle_context(k4)
+    for bad in (4, ["4"]):
+        for call in (k4.edge, ctx.beta_class, lambda e: contract_edge(k4, e),
+                     lambda e: subdivide_edge(k4, e)):
+            with pytest.raises(GraphError, match="no edge with id"):
+                call(bad)
+        with pytest.raises(GraphError, match="no edge with id"):
+            build_cycle_context(k4, tree_hint=[bad, "5", "6"])
+        with pytest.raises(GraphError, match="no edge with id"):
+            build_cycle_context(k4, basis_order=[bad, "2", "3"])
+    with pytest.raises(GraphError, match="no edge with id 4"):
+        build_cycle_context(k4, tree_hint=[4, 5, 6])
+    ones = {e.id: 1 for e in k4.edges}
+    with pytest.raises(PreconditionError, match=r"lengths given for unknown edges \[1, 'x'\]"):
+        TropicalCurve(k4, {**ones, 1: 1, "x": 1})
 
 
 def test_comments_and_blanks_ignored():

@@ -247,6 +247,21 @@ def test_dimension_checks():
         matmul(identity(2), identity(3))
 
 
+def test_non_integers_are_refused_not_truncated():
+    """Entries, vectors, right-hand sides and targets must be exactly ints:
+    a float, a bool or an int subclass raises, where int() would truncate."""
+    with pytest.raises(TypeError, match="expected an integer, got 1.9"):
+        IntMatrix(1, 2, [1.9, True])
+    with pytest.raises(TypeError, match="expected an integer, got True"):
+        IntMatrix(1, 2, [1, True])
+    with pytest.raises(TypeError, match="expected an integer, got 1.0"):
+        solve_diophantine(IntMatrix.from_rows([[2]]), [1.0])
+    with pytest.raises(TypeError, match="expected an integer, got 0.5"):
+        IntMatrix.from_rows([[2]]).apply([0.5])
+    with pytest.raises(TypeError, match="expected an integer, got True"):
+        lattice_membership([[1]], [True])
+
+
 def test_transpose_and_apply_match_index_loops():
     rng = random.Random(41)
     shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (1, 5), (5, 1)]

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from czgraph.polyring import (IntPolynomial, Monomial, PolynomialError, idkey,
-                              parse_polynomial, to_form)
+from czgraph.polyring import (IntPolynomial, PolynomialError, form_text,
+                              from_form, idkey, parse_polynomial, to_form)
 
 from poly_oracles import MissingVariableError, evaluate, substitute
 
@@ -102,7 +102,16 @@ def test_parse_rejects_garbage():
 
 def test_monomial_rejects_negative_exponent():
     with pytest.raises(PolynomialError):
-        Monomial({"1": -1})
+        IntPolynomial.variable("1", exp=-1)
+
+
+def test_monomial_keys_are_canonical():
+    """A term's key is its names sorted by `idkey`, whatever order they
+    come in; a bare string is refused, since sorting would split it."""
+    assert IntPolynomial({("2", "1"): 1}) == IntPolynomial({("1", "2"): 1})
+    assert IntPolynomial({("10", "2", "2a", "2"): 3}).terms == {("2", "2", "2a", "10"): 3}
+    with pytest.raises(TypeError):
+        IntPolynomial({"12": 1})
 
 
 def test_idkey_natural_order():
@@ -133,7 +142,7 @@ def polys(draw, max_terms=4):
         exps = {}
         for _ in range(draw(st.integers(0, 2))):
             exps[draw(_vars)] = draw(st.integers(1, 2))
-        p = p + IntPolynomial({Monomial(exps): coeff})
+        p = p + IntPolynomial({tuple(v for v, e in exps.items() for _ in range(e)): coeff})
     return p
 
 
@@ -179,3 +188,19 @@ def test_products_of_linear_forms_are_homogeneous(ts1, ts2):
     assert {len(m) for m in to_form(f, pos)} <= {1}
     prod = f * g
     assert {len(m) for m in to_form(prod, pos)} <= {2}
+
+
+_IDS = ["1", "2", "2a", "10", "b_1"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.lists(st.integers(0, len(_IDS) - 1), max_size=3)
+                       .map(lambda ps: tuple(sorted(ps))),
+                       st.integers(-20, 20).filter(bool), max_size=6))
+def test_form_text_renders_and_parses(form):
+    """`form_text` prints a form over ids in `idkey` order exactly as the
+    polynomial prints, and the text parses back to that polynomial."""
+    assert sorted(_IDS, key=idkey) == _IDS
+    poly = from_form(form, _IDS)
+    assert form_text(form, _IDS) == str(poly)
+    assert parse_polynomial(form_text(form, _IDS)) == poly
