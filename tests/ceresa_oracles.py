@@ -30,8 +30,8 @@ def psi_system(ctx: CycleBasisContext, w: CZClass
 
     The unknowns are ("a", (i, j, k)) in aab_keys order, ("d", (i, j, k))
     for i < j < k, and ("h", (l, m)) for each l and each quadratic monomial
-    m in the order `form_text` prints terms.  Each column is a closed form over Q.  With
-    Qa_i = sum_r q_ri b_r and M the 2x2 minors of `_q_minors`:
+    m in the order `form_text` prints terms.  Each column is a closed form
+    over Q.  With Qa_i = sum_r q_ri b_r and M the 2x2 minors of `_q_minors`:
 
     * a: the squared twist of a_i^a_j^b_k, the entries of
       `czgraph.ceresa._graph_system`;

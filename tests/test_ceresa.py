@@ -13,13 +13,13 @@ from czgraph.ceresa import (V_TAU_K4, V_TAU_L3, CeresaCocycle, CZClass,
                             k4_context, k4_graph, l3_context, l3_graph,
                             pushforward_contract, pushforward_subdivide,
                             specialize)
+from czgraph.cli import run_command
 from czgraph.extalg import (HElement, LElement, aab_keys, alpha, beta,
                             image2_coeffs, triple_indices)
 from czgraph.graph import (MultiGraph, PreconditionError, TropicalCurve,
                            blocks, build_cycle_context, genus, load_graph_file,
                            parse_graph_text, specialize_Q)
 from czgraph.intlin import IntMatrix, solve_diophantine
-from czgraph.cli import run_command
 from czgraph.polyring import IntPolynomial
 from czgraph.polyring import parse_polynomial as P
 
