@@ -3,10 +3,11 @@ tests and the self-verification harness.
 
 All reports are deterministic: identical inputs produce byte-identical
 output.  Exit codes: 0 ok; 2 for a usage error or a file's grammar (syntax,
-the edge-id and integer grammars, JSON ids that are not strings, lengths on
-only some edges); 3 for what a well-formed file describes (repeated edge
-ids, an empty or disconnected graph) and every other precondition
-violation, the same in either graph format; 4 internal invariant failure.
+the edge-id and integer grammars, polynomial exponents of more than two
+digits, JSON ids that are not strings, lengths on only some edges); 3 for
+what a well-formed file describes (repeated edge ids, an empty or
+disconnected graph) and every other precondition violation, the same in
+either graph format; 4 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -192,12 +193,14 @@ def verify_theorem(max_edges: int) -> dict:
     """Exhaustive self-check over all stable graphs with at most max_edges
     edges, plus the transported-cocycle family.
 
-    Checks per enumerated graph: the classifier runs, any emitted minor
-    witness replays, the block decomposition is consistent, and
-    hyperelliptic type is preserved by every single-step minor.  The
-    transported family (all subdivision chains of the two pinned base
-    graphs within the edge budget) additionally compares the classifier
-    verdict with the algebraic graph-level verdict.
+    Checks per enumerated graph: the classifier runs once (it replays its
+    own witness on the graph and raises InvariantError if that fails), the
+    block genera sum to the graph's, hyperelliptic type holds blockwise
+    exactly when it holds for the graph, and every single-step minor of a
+    hyperelliptic-type graph is hyperelliptic type.  The transported family
+    (all subdivision chains of the two pinned base graphs within the edge
+    budget) additionally compares the classifier verdict with the algebraic
+    graph-level verdict.
     """
     if max_edges > 10:
         raise PreconditionError("verify-theorem is exhaustive; max_edges > 10 refused")
@@ -207,16 +210,8 @@ def verify_theorem(max_edges: int) -> dict:
 
     for graph in enumerate_graphs(max_edges):
         counts["graphs"] += 1
-        het = is_hyperelliptic_type(graph)
-        verdict = classify(graph)
-        if verdict.trivial != het:
-            violations.append(f"classifier mismatch on {graph!r}")
-        if verdict.trivial:
-            counts["trivial"] += 1
-        else:
-            counts["nontrivial"] += 1
-            if verdict.witness is None or not verdict.witness.verify(graph):
-                violations.append(f"witness does not replay on {graph!r}")
+        het = classify(graph).trivial
+        counts["trivial" if het else "nontrivial"] += 1
         # block decomposition: genera add up, hyperelliptic type is blockwise
         parts = blocks(graph)
         if sum(genus(b) for b in parts) != genus(graph):

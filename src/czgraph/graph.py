@@ -7,10 +7,12 @@ a spanning tree; the fundamental cycles of the g non-tree edges give a basis
 of the cycle space and the symmetric g x g matrix Q whose entry q_ij is the
 signed sum of x_e over edges traversed by both cycles.
 
-The layer has one traversal, a breadth-first search that returns a rooted
-tree (`_bfs_tree`).  It checks connectivity and tests bridges, and it
-builds the single spanning tree, rooted at the least vertex id, from which
-every fundamental cycle is read by walking parent edges.
+A graph stores no adjacency: each traversal builds the incidence it reads
+(`_incidence`).  There are two.  A breadth-first search returns a rooted
+tree (`_bfs_tree`): it checks connectivity and builds the single spanning
+tree, rooted at the least vertex id, from which every fundamental cycle is
+read by walking parent edges.  A low-point depth-first search
+(`_lowpoint_dfs`) finds the bridges and the blocks.
 
 Public construction validates: `MultiGraph(...)` sorts the edges and
 refuses repeated edge ids, an empty graph and a disconnected one; the file
@@ -79,10 +81,11 @@ class MultiGraph:
     vertex and connectivity, and sorts the edges by id.  Isolated vertices,
     named only in `vertices`, make the graph disconnected unless they are
     all of it.  Graphs that an operation derives from a valid graph, keeping
-    validity, are built by `_derived` without the checks.
+    validity, are built by `_derived` without the checks.  A graph holds its
+    vertices, its edges and an index of the edges by id, and no adjacency.
     """
 
-    __slots__ = ("vertices", "edges", "_by_id", "_incidence")
+    __slots__ = ("vertices", "edges", "_by_id")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge | tuple]):
         try:
@@ -103,8 +106,7 @@ class MultiGraph:
         self.vertices = frozenset(vs)
         self.edges = tuple(es)
         self._by_id = {e.id: e for e in es}
-        self._incidence = _incidence(vs, es)
-        if len(_bfs_tree(self._incidence, next(iter(vs)))) != len(vs) - 1:
+        if len(_bfs_tree(_incidence(vs, es), next(iter(vs)))) != len(vs) - 1:
             raise GraphError("graph is not connected")
 
     @classmethod
@@ -115,7 +117,6 @@ class MultiGraph:
         g.vertices = vertices
         g.edges = tuple(edges)
         g._by_id = {e.id: e for e in g.edges}
-        g._incidence = _incidence(vertices, g.edges)
         return g
 
     # -- basic queries ---------------------------------------------------
@@ -130,14 +131,11 @@ class MultiGraph:
         return [e.id for e in self.edges]
 
     def incident(self, v: str) -> list[Edge]:
-        return list(self._incidence[v])
+        return [e for e in self.edges if v in (e.tail, e.head)]
 
     def valence(self, v: str) -> int:
         """Number of half-edges at v; a loop contributes 2."""
-        total = 0
-        for e in self._incidence[v]:
-            total += 2 if e.is_loop() else 1
-        return total
+        return sum((e.tail == v) + (e.head == v) for e in self.edges)
 
     def sorted_vertices(self) -> list[str]:
         return sorted(self.vertices, key=idkey)
@@ -190,11 +188,7 @@ def genus(g: MultiGraph) -> int:
 
 
 def is_bridge(g: MultiGraph, edge_id: str) -> bool:
-    e = g.edge(edge_id)
-    if e.is_loop():
-        return False
-    inc = _incidence(g.vertices, [x for x in g.edges if x.id != e.id])
-    return e.head not in _bfs_tree(inc, e.tail)
+    return g.edge(edge_id).id in bridges(g)
 
 
 class _LowpointDFS(NamedTuple):
@@ -219,7 +213,7 @@ def _lowpoint_dfs(g: MultiGraph) -> _LowpointDFS:
     end, when the subtree below finished.  So each non-tree edge is kept
     once, when its deeper end meets it.
     """
-    inc = g._incidence
+    inc = _incidence(g.vertices, g.edges)
     root = g.edges[0].tail if g.edges else next(iter(g.vertices))
     index = {root: 0}
     low = {root: 0}
@@ -502,7 +496,7 @@ def build_cycle_context(g: MultiGraph, tree_hint: Iterable[str] | None = None,
     """
     root = min(g.vertices, key=idkey)
     if tree_hint is None:
-        tree = _bfs_tree(g._incidence, root)
+        tree = _bfs_tree(_incidence(g.vertices, g.edges), root)
         tree_ids = [e.id for e in tree.values()]
     else:
         tree_ids = list(tree_hint)
@@ -542,11 +536,8 @@ class TropicalCurve:
         for e in self.graph.edges:
             if e.id not in lens:
                 raise PreconditionError(f"edge {e.id!r} has no length")
-            try:
-                if json_int(lens[e.id]) < 1:
-                    raise PreconditionError(f"edge {e.id!r} has non-positive length")
-            except TypeError as exc:
-                raise PreconditionError(f"edge {e.id!r} length: {exc}") from None
+            if _length(lens, e.id) < 1:
+                raise PreconditionError(f"edge {e.id!r} has non-positive length")
         extra = set(lens) - {e.id for e in self.graph.edges}
         if extra:
             raise PreconditionError(f"lengths given for unknown edges {sorted(extra, key=str)}")
@@ -554,6 +545,14 @@ class TropicalCurve:
 
     def genus(self) -> int:
         return genus(self.graph)
+
+
+def _length(lengths: Mapping[str, int], edge_id: str) -> int:
+    """The edge's length, an int by `json_int`, else a PreconditionError."""
+    try:
+        return json_int(lengths[edge_id])
+    except TypeError as exc:
+        raise PreconditionError(f"edge {edge_id!r} length: {exc}") from None
 
 
 def specialize_Q(ctx: CycleBasisContext, curve: TropicalCurve) -> list[list[int]]:
@@ -673,22 +672,24 @@ def parse_graph_text(text: str) -> tuple[MultiGraph, dict[str, int] | None]:
 
 
 def render_graph_text(g: MultiGraph, lengths: Mapping[str, int] | None = None) -> str:
-    """Canonical text form; parse(render(g)) reproduces g bit-exactly."""
+    """Canonical text form; parse(render(g)) reproduces g bit-exactly.
+    Lengths must be ints by `json_int`; others raise PreconditionError."""
     lines = [f"v {v}" for v in g.sorted_vertices()]
     for e in g.edges:
         if lengths is not None:
-            lines.append(f"e {e.id} {e.tail} {e.head} {int(lengths[e.id])}")
+            lines.append(f"e {e.id} {e.tail} {e.head} {_length(lengths, e.id)}")
         else:
             lines.append(f"e {e.id} {e.tail} {e.head}")
     return "\n".join(lines) + "\n"
 
 
 def graph_to_json_dict(g: MultiGraph, lengths: Mapping[str, int] | None = None) -> dict:
+    """The JSON graph format, lengths checked as by `render_graph_text`."""
     edges = []
     for e in g.edges:
         item = {"id": e.id, "tail": e.tail, "head": e.head}
         if lengths is not None:
-            item["length"] = int(lengths[e.id])
+            item["length"] = _length(lengths, e.id)
         edges.append(item)
     return {"vertices": g.sorted_vertices(), "edges": edges}
 

@@ -209,7 +209,7 @@ def form_text(form: Mapping[tuple[int, ...], int], names: Sequence[str]) -> str:
 
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
-_TOKEN_RE = re.compile(rf"x({_NAME_RE.pattern})(?:\^([0-9]+))?$")
+_TOKEN_RE = re.compile(rf"x({_NAME_RE.pattern})(?:\^([0-9]{{1,2}}))?$")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
@@ -230,7 +230,10 @@ def is_variable_name(name: str) -> bool:
 def parse_polynomial(text: str) -> IntPolynomial:
     """Parse the rendering grammar, e.g. "x1*x2 + 2*x5*x6 - x3" or "-2*x2^2".
 
-    Inverse of str() on canonical polynomials; whitespace is ignored.
+    Inverse of str() on canonical polynomials with every exponent below 100;
+    whitespace is ignored.  An exponent has at most two digits, so a term
+    expands to at most 99 names per factor and memory stays linear in the
+    text; x1^100 is a bad factor.
     """
     s = text.strip()
     if not s:

@@ -23,8 +23,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, permutations
 from typing import Iterator
 
-from czgraph.graph import (Edge, MultiGraph, contract_edge, delete_edge, genus,
-                           is_bridge)
+from czgraph.graph import Edge, MultiGraph, contract_edge, delete_edge, genus
 from czgraph.minors import _connected_mult, _slot_list, is_k4, is_l3
 from czgraph.polyring import idkey
 
@@ -153,7 +152,7 @@ def minor_dfs(g: MultiGraph, pattern: str) -> tuple[tuple[str, str], ...] | None
             sub = minor_dfs(contract_edge(g, e.id), pattern)
             if sub is not None:
                 return (("contract", e.id),) + sub
-        if not is_bridge(g, e.id):
+        if not separates(g.vertices, [x for x in g.edges if x is not e]):
             sub = minor_dfs(delete_edge(g, e.id), pattern)
             if sub is not None:
                 return (("delete", e.id),) + sub

@@ -443,13 +443,15 @@ def assert_usage_error(err: str) -> None:
     (_cocycle_argv, _bad_poly("\u0663*x2"), None),
     (_cocycle_argv, _bad_poly("x2^\u0663"), None),
     (_cocycle_argv, _bad_poly("\u00b2*x2"), None),
+    (_cocycle_argv, _bad_poly("x2^100"), None),
     (_lengths_argv(",".join(["1" + "0" * 4300] * 3)), THREE_LOOPS, None),
 ], ids=["graph-length-1e400", "graph-length-float", "graph-length-bool",
         "cocycle-index-1e400", "graph-not-utf8", "cocycle-not-utf8",
         "graph-text-length-underscore", "graph-text-length-arabic-indic",
         "lengths-underscore", "lengths-arabic-indic", "max-edges-underscore",
         "poly-coefficient-arabic-indic", "poly-exponent-arabic-indic",
-        "poly-coefficient-superscript", "lengths-4301-digits"])
+        "poly-coefficient-superscript", "poly-exponent-three-digits",
+        "lengths-4301-digits"])
 def test_exit_code_malformed_numbers_and_bytes(tmp_path, argv, data, stderr):
     code, err = _run_on_file(tmp_path / "input", data, argv(tmp_path / "input"))
     assert code == EXIT_PARSE

@@ -285,6 +285,18 @@ def test_json_round_trip(l3):
     assert parsed == l3 and got == lengths
 
 
+def test_renderers_refuse_non_integer_lengths(k4):
+    """Both renderers read lengths by `json_int`, as `TropicalCurve` does,
+    so a float, a bool or a string is refused, not truncated or converted,
+    and parse(render(g)) cannot come back with another length."""
+    for bad in (1.9, True, "2"):
+        lengths = {e.id: 1 for e in k4.edges} | {"1": bad}
+        for render in (render_graph_text, graph_to_json_dict):
+            with pytest.raises(PreconditionError, match=re.escape(
+                    f"edge '1' length: expected an integer, got {bad!r}")):
+                render(k4, lengths)
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_graph_text("v 1\nq 2 3\n")
@@ -356,7 +368,8 @@ def test_library_ids_are_refused_not_converted(k4):
     ctx = build_cycle_context(k4)
     for bad in (4, ["4"]):
         for call in (k4.edge, ctx.beta_class, lambda e: contract_edge(k4, e),
-                     lambda e: subdivide_edge(k4, e)):
+                     lambda e: subdivide_edge(k4, e), lambda e: is_bridge(k4, e),
+                     lambda e: delete_edge(k4, e)):
             with pytest.raises(GraphError, match="no edge with id"):
                 call(bad)
         with pytest.raises(GraphError, match="no edge with id"):

@@ -358,7 +358,8 @@ def test_bridges_and_blocks_match_reference():
     rng = random.Random(55)
     for _ in range(300):
         g = random_multigraph(rng, rng.randint(0, 5), max_vertices=8)
-        assert bridges(g) == [e.id for e in g.edges if is_bridge(g, e.id)]
+        assert bridges(g) == [e.id for e in g.edges if oracles.separates(
+            g.vertices, [x for x in g.edges if x is not e])]
         assert blocks(g) == oracles.blocks(g)
 
 
@@ -418,8 +419,7 @@ def assert_validated_copy(g):
     """A derived graph is exactly what public construction builds from it."""
     copy = MultiGraph(g.vertices, g.edges)
     assert type(g.vertices) is frozenset and type(g.edges) is tuple
-    assert g == copy, g
-    assert g._incidence == copy._incidence and g._by_id == copy._by_id, g
+    assert g == copy and g._by_id == copy._by_id, g
 
 
 def test_derived_graphs_equal_validated_copies():

@@ -100,6 +100,15 @@ def test_parse_rejects_garbage():
             parse_polynomial(bad)
 
 
+def test_parse_refuses_exponents_of_three_digits():
+    """An exponent has at most two digits, so parsing x1^N never builds N
+    names: memory stays linear in the text."""
+    assert parse_polynomial("x1^99") == IntPolynomial.variable("1", exp=99)
+    for bad in ("x1^100", "x1^099", "2*x1^100*x2"):
+        with pytest.raises(PolynomialError, match="bad factor 'x1\\^"):
+            parse_polynomial(bad)
+
+
 def test_monomial_rejects_negative_exponent():
     with pytest.raises(PolynomialError):
         IntPolynomial.variable("1", exp=-1)
