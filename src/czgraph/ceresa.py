@@ -230,7 +230,7 @@ class TrivialityVerdict:
 
 def _jsonable(obj):
     if isinstance(obj, dict):
-        return {_key_str(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: _key_str(kv[0]))}
+        return {_key_str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     return obj

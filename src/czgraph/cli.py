@@ -40,12 +40,12 @@ EXIT_INVARIANT = 4
 
 @dataclass
 class CommandReport:
-    """Echo of a command run; `exact` is always true, all arithmetic is."""
+    """Echo of a command run; the class constant `exact` is true: all arithmetic is."""
 
     command: str
     inputs: dict
     result: dict
-    exact: bool = True
+    exact = True
 
     def to_json_dict(self) -> dict:
         return {"command": self.command, "inputs": self.inputs,

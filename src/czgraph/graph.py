@@ -19,8 +19,9 @@ refuses repeated edge ids, an empty graph and a disconnected one; the file
 readers check only their own grammar.  A graph derived from a valid one by
 an operation that keeps validity skips those checks (`MultiGraph._derived`):
 `contract_edge`, `delete_edge` once its bridge test has passed, each block
-of `blocks`, the non-bridge deletions of `minors.single_step_minors` and
-the labellings of `minors.enumerate_graphs`.
+of `blocks`, the non-bridge deletions of `minors.single_step_minors` and of
+the witness pass `minors._witness`, and the labellings of
+`minors.enumerate_graphs`.
 
 All structures are immutable values.
 """
@@ -28,13 +29,13 @@ All structures are immutable values.
 from __future__ import annotations
 
 import json
-import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .polyring import IntPolynomial, ascii_int, from_form, idkey, is_variable_name
+from .polyring import (IntPolynomial, ascii_int, from_form, idkey, in_full,
+                       is_variable_name)
 
 
 class GraphError(ValueError):
@@ -587,17 +588,12 @@ def parse_json(text: str, what: str):
         raise ParseError(f"bad {what}: {exc}") from None
 
 
+@in_full
 def json_text(data, compact: bool) -> str:
-    """The data as JSON with sorted keys, compact or indented by two.  CPython
-    writes no int of more than 4,300 digits; the limit is lifted for this
-    call only, so computed integers print in full and parsing keeps it."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return json.dumps(data, sort_keys=True, indent=None if compact else 2,
-                          separators=(",", ":") if compact else None)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    """The data as JSON with sorted keys, compact or indented by two, every
+    integer in full; parsing keeps CPython's 4,300-digit limit."""
+    return json.dumps(data, sort_keys=True, indent=None if compact else 2,
+                      separators=(",", ":") if compact else None)
 
 
 def json_int(value) -> int:
@@ -671,9 +667,12 @@ def parse_graph_text(text: str) -> tuple[MultiGraph, dict[str, int] | None]:
     return _described(vertices, edges, lengths)
 
 
+@in_full
 def render_graph_text(g: MultiGraph, lengths: Mapping[str, int] | None = None) -> str:
     """Canonical text form; parse(render(g)) reproduces g bit-exactly.
-    Lengths must be ints by `json_int`; others raise PreconditionError."""
+    Lengths must be ints by `json_int`; others raise PreconditionError.
+    Every length prints in full, but the readers keep CPython's limit: a
+    length of more than 4,300 digits reads back as a ParseError."""
     lines = [f"v {v}" for v in g.sorted_vertices()]
     for e in g.edges:
         if lengths is not None:

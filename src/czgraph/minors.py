@@ -12,11 +12,9 @@ its decomposition has three virtual edges (Valdes-Tarjan-Lawler 1982).  K4
 is decided on the whole graph (`has_k4_minor_fast`); L3, hyperelliptic
 type and the pattern `classify` names, on the blocks (`_first_pattern`).
 
-A witness is found by a guided walk on the unreduced graph: each step scans
-the single-step minors in a fixed order and moves to the first one the
-oracle accepts.  Non-loop contractions and non-bridge deletions reach every
-connected minor, so the walk never stalls and returns the same operations
-as a depth-first search over that order would.
+A witness is found by one pass over the edges (`_witness`): each is
+contracted if that keeps the pattern, else deleted if that does, else kept,
+the operations a depth-first search over the single-step minors would take.
 
 Canonical forms use individualization-refinement (McKay-Piperno 2014).
 Enumeration is orderly and uses neither them nor a set of seen classes: it
@@ -108,27 +106,21 @@ def canonical_form(g: MultiGraph) -> tuple:
 # -- pattern predicates -----------------------------------------------------
 
 
+def _pair_counts(g: MultiGraph) -> list[int] | None:
+    """Sorted vertex-pair multiplicities of g if it has six edges and no loop, else None."""
+    if len(g.edges) != 6 or any(e.is_loop() for e in g.edges):
+        return None
+    return sorted(Counter(frozenset((e.tail, e.head)) for e in g.edges).values())
+
+
 def is_k4(g: MultiGraph) -> bool:
     """Exactly K4: four vertices, six edges, simple, all valences 3."""
-    if len(g.vertices) != 4 or len(g.edges) != 6:
-        return False
-    if any(e.is_loop() for e in g.edges):
-        return False
-    pairs = {frozenset((e.tail, e.head)) for e in g.edges}
-    return len(pairs) == 6
+    return len(g.vertices) == 4 and _pair_counts(g) == [1] * 6
 
 
 def is_l3(g: MultiGraph) -> bool:
     """Exactly L3: three vertices, each pair joined by exactly two edges."""
-    if len(g.vertices) != 3 or len(g.edges) != 6:
-        return False
-    if any(e.is_loop() for e in g.edges):
-        return False
-    count: dict[frozenset, int] = {}
-    for e in g.edges:
-        key = frozenset((e.tail, e.head))
-        count[key] = count.get(key, 0) + 1
-    return len(count) == 3 and all(m == 2 for m in count.values())
+    return len(g.vertices) == 3 and _pair_counts(g) == [2, 2, 2]
 
 
 _IS_PATTERN = {"K4": is_k4, "L3": is_l3}
@@ -293,21 +285,28 @@ def _contains(g: MultiGraph, pattern: str) -> bool:
 def _witness(g: MultiGraph, pattern: str) -> MinorWitness:
     """The witness of a `pattern` minor that g is known to have.
 
-    A walk that at each step takes the first single-step minor (in
-    `single_step_minors` order) that still contains the pattern.  It
-    replays on g to an exact copy of the pattern; contraction never touches
-    loops and deletion never uses bridges, so every intermediate graph
-    stays connected.
+    One pass over g's edges in edge order, each read again from the current
+    graph (an edge parallel to a contracted one is a loop), until only the
+    six edges of an exact copy are left: contract a non-loop edge if that
+    keeps the pattern, else delete it if that does, else keep it.  A walk to
+    the first single-step minor (`single_step_minors` order) keeping the
+    pattern takes the same steps: an edge that fails stays failed (a later
+    graph is a minor of g that still has it, and operations on different
+    edges commute), and a bridge is never deleted (both patterns are
+    2-connected, so its contraction keeps them, and every graph stays connected).
     """
     ops = []
-    while not _IS_PATTERN[pattern](g):
-        step = next(((op, eid, child) for op, eid, child in single_step_minors(g)
-                     if _contains(child, pattern)), None)
-        if step is None:
-            raise InvariantError(
-                f"{pattern} minor decided but no single-step minor of {g!r} keeps it")
-        op, eid, g = step
-        ops.append((op, eid))
+    for eid in g.edge_ids():
+        if len(g.edges) == 6:
+            break
+        if not g.edge(eid).is_loop() and _contains(child := contract_edge(g, eid), pattern):
+            ops.append(("contract", eid))
+            g = child
+        elif _contains(child := _without(g, g.edge(eid)), pattern):
+            ops.append(("delete", eid))
+            g = child
+    if not _IS_PATTERN[pattern](g):
+        raise InvariantError(f"{pattern} minor decided but the pass ended at {g!r}")
     return MinorWitness(pattern, tuple(ops))
 
 

@@ -25,8 +25,9 @@ instances may be shared freely between threads.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Iterable, Mapping, Sequence
-from functools import cache
+from functools import cache, wraps
 from itertools import groupby
 
 
@@ -182,6 +183,25 @@ def from_form(form: Mapping[tuple[int, ...], int], names: Sequence[str]) -> IntP
     return IntPolynomial({tuple(names[p] for p in key): c for key, c in form.items()})
 
 
+def in_full(f):
+    """The renderer f, which has no side effects, writing every int in full.
+    CPython writes no int of more than 4,300 digits: a call that raises
+    ValueError runs again with that limit lifted, for the call alone."""
+    @wraps(f)
+    def render(*args, **kwargs):
+        try:
+            return f(*args, **kwargs)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                return f(*args, **kwargs)
+            finally:
+                sys.set_int_max_str_digits(limit)
+    return render
+
+
+@in_full
 def form_text(form: Mapping[tuple[int, ...], int], names: Sequence[str]) -> str:
     """The form as text in the variables names[position], in the grammar
     `parse_polynomial` reads; the one renderer of polynomials and forms.

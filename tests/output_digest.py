@@ -30,6 +30,9 @@ the same script drives either checkout.  The inputs are
   compositions at genus 4-8;
 * minor on the stable graphs with <= 6 edges, each with a seeded pendant
   tree of 1-3 vertices and a loop at its last vertex;
+* classify and minor on the 157 stable graphs with <= 7 edges;
+* cz-test at graph and at curve level on K4 with three cocycle terms of
+  4,300-digit coefficients, whose class holds a 4,301-digit coefficient;
 * verify-theorem --max-edges 6;
 * three malformed graphs, each in the text and in the JSON format: a
   repeated edge id, an empty file and a disconnected graph;
@@ -42,6 +45,10 @@ Input files are written to a temporary directory that is the working
 directory during the calls, so paths in the output do not depend on it.
 An exception that escapes `main` is recorded as exit code 1, as the
 `czgraph` process would exit.  Pytest does not collect this file.
+
+Against a checkout whose `polyring.form_text` still used plain `str()`,
+only the two 4,300-digit-coefficient calls differ: they exit 1 there and 0
+here.
 """
 
 from __future__ import annotations
@@ -266,6 +273,25 @@ def pendant_calls() -> None:
             call(f"pendant-{n}/minor-{pattern}", ["minor", path, "--pattern", pattern])
 
 
+def stable_calls() -> None:
+    for n, graph in enumerate(enumerate_graphs(7)):
+        path = write(f"stable-{n}.txt", render_graph_text(graph))
+        call(f"stable-{n}/classify", ["classify", path])
+        for pattern in ("K4", "L3"):
+            call(f"stable-{n}/minor-{pattern}", ["minor", path, "--pattern", pattern])
+
+
+def big_coefficient_calls() -> None:
+    body = {"graph": graph_dict(k4_graph()), "tree": ["4", "5", "6"],
+            "b": [{"i": i, "j": j, "k": k, "poly": "9" * 4300 + "*x2"}
+                  for i, j, k in ((1, 1, 2), (2, 1, 3), (3, 2, 3))]}
+    k4_path = write("k4-big-coefficient.txt", render_graph_text(k4_graph()))
+    cocycle = write("big-coefficient.json", json.dumps(body))
+    call("big-coefficient/cz-test-diophantine", ["cz-test", k4_path, "--cocycle", cocycle])
+    call("big-coefficient/cz-test-curve", ["cz-test", k4_path, "--cocycle", cocycle,
+                                           "--lengths", "1,1,1,1,1,1"])
+
+
 def file_calls() -> None:
     for name, (vertices, edges) in PARITY_GRAPHS.items():
         for fmt in ("txt", "json"):
@@ -297,6 +323,8 @@ def run() -> None:
             oversized_calls()
             series_parallel_calls()
             pendant_calls()
+            stable_calls()
+            big_coefficient_calls()
             call("verify-theorem-6", ["verify-theorem", "--max-edges", "6"])
             file_calls()
         finally:

@@ -485,6 +485,25 @@ def test_oversized_integers_print_in_full(capsys, argv, expect, flags):
     assert sys.get_int_max_str_digits() == limit
 
 
+# K4 with three terms of 4,300-digit coefficients, the longest a text input
+# reads: a coefficient of the class has 4,301 digits
+BIG_COEFFICIENT_COCYCLE = {
+    "graph": graph_to_json_dict(k4_graph()), "tree": ["4", "5", "6"],
+    "b": [{"i": i, "j": j, "k": k, "poly": "9" * 4300 + "*x2"}
+          for i, j, k in ((1, 1, 2), (2, 1, 3), (3, 2, 3))]}
+
+
+@pytest.mark.parametrize("flags", [[], ["--lengths", "1,1,1,1,1,1"]], ids=["graph", "curve"])
+def test_class_coefficients_past_the_digit_limit_print_in_full(tmp_path, capsys, flags):
+    """The class's polynomial text holds a 4,301-digit coefficient; the
+    report prints it and exits 0 at both levels."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(BIG_COEFFICIENT_COCYCLE))
+    assert main(["cz-test", K4_FIXTURE, "--cocycle", str(path)] + flags) == EXIT_OK
+    out = capsys.readouterr().out
+    assert max(map(len, re.findall(r"[0-9]+", out))) > 4300
+
+
 @pytest.mark.parametrize("columns", ["50", "200"])
 def test_usage_error_shape_does_not_depend_on_width(tmp_path, monkeypatch, columns):
     monkeypatch.setenv("COLUMNS", columns)

@@ -285,6 +285,15 @@ def test_json_round_trip(l3):
     assert parsed == l3 and got == lengths
 
 
+def test_lengths_past_the_digit_limit_render_in_full(k4):
+    """A 4,401-digit length prints in full; the text reader keeps CPython's
+    4,300-digit limit and refuses it as a ParseError."""
+    text = render_graph_text(k4, {e.id: 10 ** 4400 for e in k4.edges})
+    assert text.count(" 1" + "0" * 4400 + "\n") == 6
+    with pytest.raises(ParseError, match="bad length"):
+        parse_graph_text(text)
+
+
 def test_renderers_refuse_non_integer_lengths(k4):
     """Both renderers read lengths by `json_int`, as `TropicalCurve` does,
     so a float, a bool or a string is refused, not truncated or converted,

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -12,12 +13,13 @@ from czgraph.ceresa import classify, k4_graph
 from czgraph.cli import EXIT_OK, main
 from czgraph.graph import (GraphError, MultiGraph, PreconditionError,
                            block_parts, blocks, bridges, contract_edge, delete_edge, genus,
-                           is_bridge, render_graph_text, subdivide_edge)
+                           is_bridge, load_graph_file, render_graph_text, subdivide_edge)
 from czgraph.minors import (PATTERNS, MinorWitness, canonical_form,
                             clear_minor_cache, enumerate_graphs,
                             has_k4_minor_fast, has_minor,
                             is_hyperelliptic_type, is_k4, is_l3,
                             single_step_minors)
+from czgraph.polyring import idkey
 
 import minor_oracles as oracles
 from conftest import (from_pairs, ladder, random_multigraph,
@@ -331,6 +333,41 @@ def test_has_minor_ops_match_dfs_oracle():
             elif found:
                 assert wit.verify(g)
     assert not mismatches, mismatches[:3]
+
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+def test_witness_is_one_pass_over_the_edges(monkeypatch):
+    """Every witness of the golden petersen and k4-subdivided inputs and of
+    the stable graphs with <= 8 edges: `_witness` decides at most twice per
+    edge, searches no bridge and no single-step minor, and acts on edges
+    in rising `idkey` order."""
+    graphs = [load_graph_file(str(GOLDEN_INPUTS / f"{name}.txt"))[0]
+              for name in ("petersen", "k4-subdivided")]
+    graphs += enumerate_graphs(8)
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+    for name in ("_contains", "bridges", "single_step_minors"):
+        monkeypatch.setattr(minors, name, counted(name, getattr(minors, name)))
+    witnesses = 0
+    for g in graphs:
+        for pattern in PATTERNS:
+            if not minors._contains(g, pattern):
+                continue
+            calls.clear()
+            ops = minors._witness(g, pattern).ops
+            assert calls["_contains"] <= 2 * len(g.edges), (g, pattern)
+            assert not calls["bridges"] and not calls["single_step_minors"]
+            keys = [idkey(eid) for _, eid in ops]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+            witnesses += 1
+    assert witnesses == 44, witnesses
 
 
 def test_canonical_form_equality_matches_oracle():
